@@ -1,7 +1,7 @@
 // Observability overhead: what does the obs instrumentation cost the
 // tuning stack's hot paths, with the kill switches off and on?
 //
-// The workload is sim_speed-shaped — decoded-path simulation of the whole
+// The workload is sim_speed-shaped — engine simulation of the whole
 // workload suite — plus one small random search, so counters, phase
 // timers, and spans all fire. Three modes run interleaved (rep by rep, so
 // frequency scaling and cache state hit all modes equally):
@@ -48,13 +48,12 @@ double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// One unit of workload: simulate every suite program on the decoded path
-/// and run a small random search (the search part fires spans + eval
-/// timers; random_search keeps the event accounting exact, unlike the GA
-/// whose generation count depends on convergence).
+/// One unit of workload: simulate every suite program and run a small
+/// random search (the search part fires spans + eval timers; random_search
+/// keeps the event accounting exact, unlike the GA whose generation count
+/// depends on convergence).
 void run_workload(const std::vector<wl::Workload>& suite, unsigned seed) {
-  sim::MachineConfig cfg = sim::amd_like();
-  cfg.decoded_execution = true;
+  const sim::MachineConfig cfg = sim::amd_like();
   for (const auto& w : suite) {
     sim::Simulator sim(w.module, cfg);
     (void)sim.run();

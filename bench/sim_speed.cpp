@@ -1,9 +1,9 @@
-// Simulator throughput: Minstr/s of the legacy tree-walking interpreter
-// vs the pre-decoded execution path (sim::DecodedProgram) over the whole
+// Simulator throughput: Minstr/s of the tree-walking reference vs the
+// engine (pre-decoded superblocks, threaded dispatch) over the whole
 // workload suite. Both paths are run on identical modules and the bench
-// asserts they agree on return value, cycle count, and instruction count
-// for every workload — the speedup is only meaningful if the decoded path
-// is bit-identical.
+// asserts they agree on return value, cycle count, instruction count, and
+// every counter for every workload — the speedup is only meaningful if
+// the engine is bit-identical.
 //
 // Each path is timed as the best (minimum) of several interleaved trials:
 // a single sample folds scheduler noise straight into the ratio, while
@@ -41,30 +41,27 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct PathResult {
-  std::int64_t ret = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
+  sim::RunResult rr;
   double secs = 0.0;
 };
 
 /// Time `reps` full runs of `main` on one path; results must be invariant
 /// across reps (the simulator is deterministic), so the last one is kept.
-PathResult run_path(const ir::Module& mod, bool decoded, bool counters,
-                    unsigned reps) {
-  sim::MachineConfig cfg = sim::amd_like();
-  cfg.decoded_execution = decoded;
-  cfg.collect_counters = counters;
+PathResult run_path(const ir::Module& mod, bool reference, unsigned reps) {
+  const sim::MachineConfig cfg = sim::amd_like();
   PathResult out;
   const Clock::time_point t0 = Clock::now();
   for (unsigned r = 0; r < reps; ++r) {
     sim::Simulator sim(mod, cfg);
-    const sim::RunResult rr = sim.run();
-    out.ret = rr.ret;
-    out.cycles = rr.cycles;
-    out.instructions = rr.instructions;
+    out.rr = reference ? sim.run_reference() : sim.run();
   }
   out.secs = std::chrono::duration<double>(Clock::now() - t0).count();
   return out;
+}
+
+bool identical(const sim::RunResult& a, const sim::RunResult& b) {
+  return a.ret == b.ret && a.cycles == b.cycles &&
+         a.instructions == b.instructions && a.counters.v == b.counters.v;
 }
 
 std::string fmt(double v) {
@@ -131,12 +128,12 @@ int main(int argc, char** argv) {
   const unsigned trials =
       args.smoke ? 1 : bench::env_unsigned("ILC_SIMSPEED_TRIALS", 3);
 
-  std::printf(
-      "Simulator throughput, legacy vs decoded, %u reps/trial, best of %u\n\n",
-      reps, trials);
+  std::printf("Simulator throughput, reference vs engine, %u reps/trial, "
+              "best of %u\n\n",
+              reps, trials);
 
-  support::Table table({"workload", "instrs", "legacy Mi/s", "decoded Mi/s",
-                        "fast Mi/s", "speedup"});
+  support::Table table(
+      {"workload", "instrs", "reference Mi/s", "engine Mi/s", "speedup"});
   std::vector<std::string> json_rows;
   std::map<std::string, double> speedups;
   double log_speedup_sum = 0.0;
@@ -149,71 +146,55 @@ int main(int argc, char** argv) {
     // inside the timed region (the honest amortized comparison).
     sim::ProgramCache::instance().clear();
 
-    // Three configurations: the legacy reference, the decoded path with
-    // full counter collection, and the decoded "fast" path (counters off
-    // — the dispatch table with all counter bookkeeping compiled out,
-    // i.e. the configuration the evaluation loop runs). The fast path
-    // must still agree on ret/cycles/instructions: the cache and branch
-    // models drive timing and stay on.
-    PathResult legacy, decoded, fast;
+    PathResult reference, engine;
     for (unsigned t = 0; t < trials; ++t) {
       // Interleave the paths so slow drift (thermal, noisy neighbors)
-      // hits all sides of the ratio equally.
-      const PathResult l = run_path(w.module, false, true, reps);
-      const PathResult d = run_path(w.module, true, true, reps);
-      const PathResult f = run_path(w.module, true, false, reps);
-      if (t == 0 || l.secs < legacy.secs) legacy = l;
-      if (t == 0 || d.secs < decoded.secs) decoded = d;
-      if (t == 0 || f.secs < fast.secs) fast = f;
+      // hits both sides of the ratio equally.
+      const PathResult r = run_path(w.module, true, reps);
+      const PathResult e = run_path(w.module, false, reps);
+      if (t == 0 || r.secs < reference.secs) reference = r;
+      if (t == 0 || e.secs < engine.secs) engine = e;
     }
 
-    if (legacy.ret != decoded.ret || legacy.cycles != decoded.cycles ||
-        legacy.instructions != decoded.instructions ||
-        legacy.ret != fast.ret || legacy.cycles != fast.cycles ||
-        legacy.instructions != fast.instructions) {
-      std::fprintf(stderr, "MISMATCH on %s: legacy(ret=%lld cyc=%llu i=%llu) "
-                           "decoded(ret=%lld cyc=%llu i=%llu)\n",
-                   name.c_str(), static_cast<long long>(legacy.ret),
-                   static_cast<unsigned long long>(legacy.cycles),
-                   static_cast<unsigned long long>(legacy.instructions),
-                   static_cast<long long>(decoded.ret),
-                   static_cast<unsigned long long>(decoded.cycles),
-                   static_cast<unsigned long long>(decoded.instructions));
+    if (!identical(reference.rr, engine.rr)) {
+      std::fprintf(stderr,
+                   "MISMATCH on %s (ret/cycles/instructions/counters): "
+                   "reference(ret=%lld cyc=%llu i=%llu) "
+                   "engine(ret=%lld cyc=%llu i=%llu)\n",
+                   name.c_str(), static_cast<long long>(reference.rr.ret),
+                   static_cast<unsigned long long>(reference.rr.cycles),
+                   static_cast<unsigned long long>(reference.rr.instructions),
+                   static_cast<long long>(engine.rr.ret),
+                   static_cast<unsigned long long>(engine.rr.cycles),
+                   static_cast<unsigned long long>(engine.rr.instructions));
       ok = false;
       continue;
     }
 
-    const double total_mi =
-        static_cast<double>(legacy.instructions) * reps / 1e6;
-    const double legacy_mips = total_mi / legacy.secs;
-    const double decoded_mips = total_mi / decoded.secs;
-    const double fast_mips = total_mi / fast.secs;
-    // The headline speedup is the evaluation hot path (fast) vs legacy;
-    // the instrumented ratio rides along in the JSON record.
-    const double speedup = legacy.secs / fast.secs;
-    const double speedup_instr = legacy.secs / decoded.secs;
+    const std::uint64_t instrs = reference.rr.instructions;
+    const double total_mi = static_cast<double>(instrs) * reps / 1e6;
+    const double reference_mips = total_mi / reference.secs;
+    const double engine_mips = total_mi / engine.secs;
+    const double speedup = reference.secs / engine.secs;
     log_speedup_sum += std::log(speedup);
     speedups[name] = speedup;
     ++n;
 
-    table.add_row({name, std::to_string(legacy.instructions),
-                   fmt(legacy_mips), fmt(decoded_mips), fmt(fast_mips),
-                   fmt(speedup)});
+    table.add_row({name, std::to_string(instrs), fmt(reference_mips),
+                   fmt(engine_mips), fmt(speedup)});
     json_rows.push_back(bench::Json()
                             .string("workload", name)
-                            .integer("instructions", legacy.instructions)
-                            .number("legacy_minstr_per_s", legacy_mips)
-                            .number("decoded_minstr_per_s", decoded_mips)
-                            .number("fast_minstr_per_s", fast_mips)
+                            .integer("instructions", instrs)
+                            .number("reference_minstr_per_s", reference_mips)
+                            .number("engine_minstr_per_s", engine_mips)
                             .number("speedup", speedup)
-                            .number("speedup_instrumented", speedup_instr)
                             .render());
   }
   table.print(std::cout);
 
   const double geomean = n ? std::exp(log_speedup_sum / n) : 0.0;
-  std::printf("\ngeomean decoded/legacy speedup: %.2fx\n", geomean);
-  std::printf("legacy == decoded on ret/cycles/instructions: %s\n",
+  std::printf("\ngeomean engine/reference speedup: %.2fx\n", geomean);
+  std::printf("reference == engine on ret/cycles/instructions/counters: %s\n",
               ok ? "PASS" : "FAIL");
 
   // --baseline gate: compare against a prior record. Smoke runs report
@@ -235,7 +216,7 @@ int main(int argc, char** argv) {
     }
     for (const auto& [name, s] : speedups) {
       if (s < 1.0) {
-        std::printf("  FAIL: %s at %.2fx — decoded slower than legacy\n",
+        std::printf("  FAIL: %s at %.2fx — engine slower than reference\n",
                     name.c_str(), s);
         perf_ok = false;
       }

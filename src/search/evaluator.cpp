@@ -54,10 +54,8 @@ EvalResult Evaluator::simulate(const ir::Module& optimized_mod,
   // module.
   obs::Span span("search.simulate");
   obs::ScopedTimerUs timer(h_simulate_us());
-  std::shared_ptr<const sim::DecodedProgram> decoded;
-  if (cfg_.decoded_execution)
-    decoded = sim::ProgramCache::instance().get(optimized_mod, fp);
-  sim::Simulator sim(optimized_mod, cfg_, std::move(decoded));
+  sim::Simulator sim(optimized_mod, cfg_,
+                     sim::ProgramCache::instance().get(optimized_mod, fp));
   const sim::RunResult rr = sim.run();
   EvalResult res;
   res.cycles = rr.cycles;

@@ -60,7 +60,7 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
       d.b = inst.b;
       d.imm = inst.imm;
 
-      // Validate registers exactly as the legacy walk would touch them,
+      // Validate registers exactly as the reference walk would touch them,
       // so the execution loop needs no per-instruction asserts.
       std::array<ir::Reg, 2 + ir::kMaxCallArgs> uses;
       unsigned nu = 0;
@@ -81,8 +81,10 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
           ++sb.mem_ops;
           break;
         case ir::Opcode::GlobalAddr:
-          // The handler resolves the base against the Simulator's image;
-          // keep the id in the hot immediate slot.
+          // The handler resolves the base against the Simulator's image
+          // without a bounds check; keep the id in the hot immediate slot.
+          ILC_CHECK_MSG(inst.gid < mod.globals().size(),
+                        "decode: bad global id in " << fn.name);
           d.imm = static_cast<std::int64_t>(inst.gid);
           break;
         case ir::Opcode::Call: {
@@ -111,7 +113,7 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
                           "decode: bad branch target in " << fn.name);
             d.t2 = out.block_entry[inst.t2];
             if (inst.t1 <= block) d.flags |= DecodedInstr::kBackward;
-            // Same recipe as the legacy walk, so predictor state and
+            // Same recipe as the reference walk, so predictor state and
             // misprediction counts are bit-identical.
             d.imm = static_cast<std::int64_t>(support::hash_combine(
                 support::hash_combine(fn_id, block), ip));

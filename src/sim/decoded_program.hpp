@@ -1,5 +1,5 @@
 // Pre-decoded simulator programs — the fast half of the evaluation hot
-// path. The interpreter's legacy loop re-derives, for every dynamic
+// path. The reference tree-walker re-derives, for every dynamic
 // instruction, facts that are static properties of the code: the register
 // use list (a per-opcode switch in ir::append_uses, an out-of-line call),
 // the branch identity (two hash_combine calls per Br), the access width,
@@ -34,10 +34,10 @@
 // decoded programs across Simulators, machines, and repeat evaluations of
 // the same optimized module.
 //
-// Invariant: executing the decoded form is bit-identical to the legacy
+// Invariant: executing the decoded form is bit-identical to the reference
 // walk — same results, same cycle counts, same counters, same branch ids
 // fed to the predictor (tests/test_sim_decoded.cpp enforces this
-// differentially, in both dispatch modes, with counters on and off).
+// differentially).
 #pragma once
 
 #include <array>
@@ -71,9 +71,9 @@ struct DecodedInstr {
   ir::Reg b = ir::kNoReg;
 
   /// LoadImm value, Load/Store/Prefetch/FrameAddr offset; for Br the
-  /// precomputed branch identity (identical to the legacy
+  /// precomputed branch identity (identical to the reference's
   /// hash_combine(hash_combine(fn_id, block), ip), so predictor state and
-  /// misprediction counts match the legacy path exactly); for GlobalAddr
+  /// misprediction counts match the reference exactly); for GlobalAddr
   /// the global id.
   std::int64_t imm = 0;
 
@@ -133,8 +133,8 @@ struct DecodedProgram {
   std::size_t instruction_count = 0;  // static instructions decoded
 };
 
-/// Decode a module. Validates terminator targets, register references, and
-/// call arities (ILC_CHECK), so the execution loop can skip
+/// Decode a module. Validates terminator targets, register references,
+/// global ids, and call arities (ILC_CHECK), so the execution loop can skip
 /// per-instruction asserts.
 std::shared_ptr<const DecodedProgram> decode_program(const ir::Module& mod);
 

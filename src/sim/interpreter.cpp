@@ -54,6 +54,15 @@ obs::Histogram& h_execute_us() {
   return h;
 }
 
+RunResult observed(RunResult rr) {
+  c_invocations().add(1);
+  c_instructions().add(rr.instructions);
+  c_branch_mispredicts().add(rr.counters[BR_MSP]);
+  c_l1_misses().add(rr.counters[L1_TCM]);
+  c_l2_misses().add(rr.counters[L2_TCM]);
+  return rr;
+}
+
 // Simulated memory is little-endian by definition (the byte-assembly
 // loops in load_value/store_value). On little-endian hosts the same
 // result is a single fixed-width access; big-endian hosts keep the loop.
@@ -112,14 +121,12 @@ inline void store_le(std::uint8_t* p, std::uint64_t v, unsigned bytes) {
 Simulator::Simulator(const ir::Module& mod, const MachineConfig& cfg,
                      std::shared_ptr<const DecodedProgram> decoded)
     : mod_(&mod),
+      decoded_(std::move(decoded)),
       cfg_(cfg),
       image_(mod.build_image()),
       l1_(cfg.l1),
       l2_(cfg.l2),
-      bpred_(cfg.bpred_entries) {
-  if (cfg_.decoded_execution)
-    decoded_ = decoded ? std::move(decoded) : ProgramCache::instance().get(mod);
-}
+      bpred_(cfg.bpred_entries) {}
 
 void Simulator::switch_module(const ir::Module& next) {
   const ir::MemoryImage other = next.build_image(image_.stack_size);
@@ -128,7 +135,7 @@ void Simulator::switch_module(const ir::Module& next) {
                     other.ptr_bytes == image_.ptr_bytes,
                 "switch_module requires an identical memory layout");
   mod_ = &next;
-  if (decoded_) decoded_ = ProgramCache::instance().get(next);
+  decoded_ = nullptr;  // the next engine call fetches `next`'s decoding
 }
 
 void Simulator::clear_microarch_state() {
@@ -181,21 +188,20 @@ std::uint64_t Simulator::global_base(ir::GlobalId gid) const {
   return image_.global_base[gid];
 }
 
-std::uint32_t Simulator::mem_access(std::uint64_t addr, bool is_write,
-                                    bool counted) {
-  if (counted) total_[L1_TCA] += 1;
+std::uint32_t Simulator::mem_access(std::uint64_t addr, bool is_write) {
+  total_[L1_TCA] += 1;
   if (l1_.access(addr)) return cfg_.l1.hit_latency;
-  if (counted) {
-    total_[L1_TCM] += 1;
-    total_[is_write ? L1_STM : L1_LDM] += 1;
-    total_[L2_TCA] += 1;
-  }
+  total_[L1_TCM] += 1;
+  total_[is_write ? L1_STM : L1_LDM] += 1;
+  total_[L2_TCA] += 1;
   if (l2_.access(addr)) return cfg_.l1.hit_latency + cfg_.l2.hit_latency;
-  if (counted) {
-    total_[L2_TCM] += 1;
-    total_[is_write ? L2_STM : L2_LDM] += 1;
-  }
+  total_[L2_TCM] += 1;
+  total_[is_write ? L2_STM : L2_LDM] += 1;
   return cfg_.l1.hit_latency + cfg_.l2.hit_latency + cfg_.mem_latency;
+}
+
+void Simulator::prefetch(std::uint64_t addr) {
+  if (!l1_.access(addr)) l2_.access(addr);
 }
 
 RunResult Simulator::call(const std::string& fn_name,
@@ -209,19 +215,29 @@ RunResult Simulator::run() { return call("main"); }
 
 RunResult Simulator::call(FuncId fn_id,
                           const std::vector<std::int64_t>& args) {
+  // Decode on the first engine call, outside the execute timer, so a
+  // Simulator that only runs the reference never touches the ProgramCache.
+  if (!decoded_) decoded_ = ProgramCache::instance().get(*mod_);
   obs::ScopedTimerUs timer(h_execute_us());
-  const RunResult rr =
-      decoded_ ? call_decoded(fn_id, args) : call_legacy(fn_id, args);
-  c_invocations().add(1);
-  c_instructions().add(rr.instructions);
-  c_branch_mispredicts().add(rr.counters[BR_MSP]);
-  c_l1_misses().add(rr.counters[L1_TCM]);
-  c_l2_misses().add(rr.counters[L2_TCM]);
-  return rr;
+  return observed(execute(fn_id, args));
 }
 
-RunResult Simulator::call_legacy(FuncId fn_id,
-                                 const std::vector<std::int64_t>& args) {
+RunResult Simulator::run_reference() {
+  const FuncId id = mod_->find_function("main");
+  ILC_CHECK_MSG(id != ir::kNoFunc, "no function named main");
+  return call_reference(id);
+}
+
+RunResult Simulator::call_reference(FuncId fn_id,
+                                    const std::vector<std::int64_t>& args) {
+  obs::ScopedTimerUs timer(h_execute_us());
+  return observed(interpret(fn_id, args));
+}
+
+// --- the tree-walking reference --------------------------------------------
+
+RunResult Simulator::interpret(FuncId fn_id,
+                               const std::vector<std::int64_t>& args) {
   const Counters before = total_;
   const std::uint64_t cycles_before = cycle_;
   const std::uint64_t executed_before = executed_;
@@ -373,7 +389,7 @@ RunResult Simulator::call_legacy(FuncId fn_id,
         // warm the hierarchy without stalling.
         if (addr >= ir::MemoryImage::kNullGuard &&
             addr + 8 <= image_.bytes.size()) {
-          mem_access(addr, /*is_write=*/false, /*counted=*/false);
+          prefetch(addr);
         }
         break;
       }
@@ -449,14 +465,31 @@ RunResult Simulator::call_legacy(FuncId fn_id,
   return rr;
 }
 
-// --- the decoded hot path --------------------------------------------------
+// --- the engine ------------------------------------------------------------
 //
-// The engine body lives in sim/exec_loop.inc and is included twice below:
-// once as the computed-goto threaded form, once as the portable switch
-// form. The X-macro pins the handler/label order to the ir::Opcode
-// enumerator order — the threaded label table indexes by opcode value, so
-// the static_asserts below make any enum reordering a compile error here
-// rather than a misdispatch at runtime.
+// Semantics are a transliteration of interpret() over the packed superblock
+// arrays; any divergence in results, cycles, or counters is a bug
+// (differential-tested in tests/test_sim_decoded.cpp). The superblock
+// fusion shows up as *run-granular* bookkeeping: straight-line handlers
+// never touch the retired-instruction count, TOT_INS, or the budget guard
+// — ILC_END_RUN settles the whole run at the control transfer that ends
+// it, and the catch block settles a partial run if a trap unwinds
+// mid-block. The only observable difference this can make is *after* a
+// TrapError: the budget trap fires at the end of the superblock that
+// crossed the limit rather than on the exact crossing instruction (the
+// trap itself, and all successful runs, are bit-identical).
+//
+// Dispatch is computed-goto threaded code: every handler ends in its own
+// indirect jump through kLabels, so the host BTB learns per-handler
+// successor patterns (this TU builds with -fno-crossjumping -fno-gcse so
+// GCC keeps those jumps apart). The X-macro pins the label order to the
+// ir::Opcode enumerator order — the label table indexes by opcode value,
+// so the static_asserts below make any enum reordering a compile error
+// here rather than a misdispatch at runtime.
+
+#if !defined(__GNUC__)
+#error "the simulator engine needs GNU labels-as-values (GCC or Clang)"
+#endif
 
 #define ILC_SIM_OPCODE_LIST(X)                                \
   X(Nop) X(Mov) X(LoadImm)                                    \
@@ -483,36 +516,401 @@ static_assert(ilc_ord_count == static_cast<unsigned>(Opcode::Call) + 1,
               "ILC_SIM_OPCODE_LIST is missing opcodes");
 }  // namespace
 
-#if ILC_SIM_HAS_THREADED_DISPATCH
-#define ILC_EXEC_NAME exec_decoded_threaded
-#define ILC_EXEC_THREADED 1
-#include "sim/exec_loop.inc"
-#undef ILC_EXEC_NAME
-#undef ILC_EXEC_THREADED
-#endif
+#define ILC_DISPATCH() goto* kLabels[static_cast<unsigned>(ip->op)]
 
-#define ILC_EXEC_NAME exec_decoded_switch
-#define ILC_EXEC_THREADED 0
-#include "sim/exec_loop.inc"
-#undef ILC_EXEC_NAME
-#undef ILC_EXEC_THREADED
+// Scoreboard + issue: stall until `earliest`, then claim an issue slot
+// (issue_width instructions share a cycle). Written branch-free: whether
+// an instruction stalls is data-dependent and defeats the *host* branch
+// predictor, so conditional moves beat the reference's if/else chain here.
+#define ILC_ISSUE(earliest_expr)                            \
+  do {                                                      \
+    const std::uint64_t ilc_e = (earliest_expr);            \
+    const bool ilc_stall = ilc_e > cycle;                   \
+    const bool ilc_wrap = !ilc_stall & (slots >= issue_width); \
+    cycle = ilc_stall ? ilc_e : cycle + ilc_wrap;           \
+    slots = (ilc_stall | ilc_wrap) ? 1u : slots + 1u;       \
+  } while (0)
+
+// Retire the straight-line run [run_start, ip] in one step and apply the
+// budget guard once per superblock. After this, run_start marks the run
+// as consumed so the catch-block fix-up adds nothing.
+#define ILC_END_RUN()                                                  \
+  do {                                                                 \
+    const std::uint64_t ilc_n =                                        \
+        static_cast<std::uint64_t>(ip - run_start) + 1;                \
+    executed += ilc_n;                                                 \
+    total_[TOT_INS] += ilc_n;                                          \
+    run_start = ip + 1;                                                \
+    if (executed > budget_end)                                         \
+      throw TrapError("instruction budget exhausted (runaway loop?)"); \
+  } while (0)
+
+// Inline in-range test; the cold out-of-line bounds_check re-checks and
+// throws with the canonical trap message.
+#define ILC_BOUNDS(addr, bytes)                                      \
+  do {                                                               \
+    if ((addr) < ir::MemoryImage::kNullGuard ||                      \
+        (addr) + (bytes) > mem_size)                                 \
+      bounds_check((addr), (bytes));                                 \
+  } while (0)
+
+// Two-source ALU op with a compile-time latency; `va`/`vb` are bound for
+// the expression.
+#define ILC_BINOP(name, lat, expr)                      \
+  op_##name: {                                          \
+    const ir::Reg ra = ip->a, rb = ip->b, rd = ip->dst; \
+    ILC_ISSUE(std::max(ready[ra], ready[rb]));          \
+    const std::int64_t va = regs[ra];                   \
+    const std::int64_t vb = regs[rb];                   \
+    regs[rd] = (expr);                                  \
+    ready[rd] = cycle + (lat);                          \
+    ++ip;                                               \
+    ILC_DISPATCH();                                     \
+  }
+
+RunResult Simulator::execute(FuncId fn_id,
+                             const std::vector<std::int64_t>& args) {
+  const DecodedProgram& prog = *decoded_;
+  ILC_CHECK_MSG(fn_id < prog.funcs.size(), "no function with id " << fn_id);
+
+  const Counters before = total_;
+  const std::uint64_t cycles_before = cycle_;
+  const std::uint64_t executed_before = executed_;
+  const std::uint64_t budget_end = executed_ + cfg_.max_instructions;
+
+  // Config and image in locals so the inner loop never re-reads members
+  // the compiler cannot prove loop-invariant.
+  const std::uint32_t lat_alu = cfg_.lat_alu;
+  const std::uint32_t lat_mul = cfg_.lat_mul;
+  const std::uint32_t lat_div = cfg_.lat_div;
+  const std::uint32_t issue_width = cfg_.issue_width;
+  const std::uint32_t mispredict_penalty = cfg_.mispredict_penalty;
+  const std::uint32_t call_overhead = cfg_.call_overhead;
+  std::uint8_t* const mem = image_.bytes.data();
+  const std::uint64_t mem_size = image_.bytes.size();
+  const std::uint64_t* const gbase = image_.global_base.data();
+  const std::uint64_t stack_limit = image_.stack_base + image_.stack_size;
+
+  // Mutable machine state in locals; synced back on every exit path.
+  std::uint64_t cycle = cycle_;
+  std::uint32_t slots = slots_used_;
+  std::uint64_t executed = executed_;
+
+  if (frames_.size() < kMaxCallDepth) frames_.resize(kMaxCallDepth);
+  std::size_t depth = 0;
+  std::uint32_t reg_top = 0;
+  std::uint64_t frame_cursor = image_.stack_base;
+
+  // Current activation, cached in locals; refreshed only at call/return.
+  const DecodedFunction* fnp = nullptr;
+  const DecodedInstr* code_base = nullptr;
+  const DecodedInstr* ip = nullptr;
+  const DecodedInstr* run_start = nullptr;
+  std::int64_t* regs = nullptr;
+  std::uint64_t* ready = nullptr;
+  std::uint64_t frame_base = 0;
+  std::int64_t final_ret = 0;
+
+  auto push_frame = [&](FuncId id, Reg ret_dst) {
+    const DecodedFunction& fn = prog.funcs[id];
+    if (depth >= kMaxCallDepth)
+      throw TrapError("call depth exceeded in " + fn.name);
+    if (reg_top + fn.num_regs > regstack_.size()) {
+      const std::size_t need = std::max<std::size_t>(
+          regstack_.size() * 2 + 64, reg_top + fn.num_regs);
+      regstack_.resize(need);
+      readystack_.resize(need);
+      if (depth > 0) {  // growth moved the stacks; re-anchor the caller
+        regs = regstack_.data() + frames_[depth - 1].reg_base;
+        ready = readystack_.data() + frames_[depth - 1].reg_base;
+      }
+    }
+    ExecFrame& fr = frames_[depth];
+    fr.fn = &fn;
+    fr.frame_base = frame_cursor;
+    fr.reg_base = reg_top;
+    fr.resume_ip = 0;
+    fr.ret_dst = ret_dst;
+    std::fill_n(regstack_.begin() + reg_top, fn.num_regs, 0);
+    std::fill_n(readystack_.begin() + reg_top, fn.num_regs, 0);
+    reg_top += fn.num_regs;
+    frame_cursor += fn.frame_bytes;
+    if (frame_cursor > stack_limit)
+      throw TrapError("stack overflow in " + fn.name);
+    ++depth;
+  };
+
+  auto activate = [&](const ExecFrame& fr) {
+    fnp = fr.fn;
+    code_base = fnp->code.data();
+    regs = regstack_.data() + fr.reg_base;
+    ready = readystack_.data() + fr.reg_base;
+    frame_base = fr.frame_base;
+  };
+
+  {
+    const DecodedFunction& fn = prog.funcs[fn_id];
+    ILC_CHECK_MSG(args.size() == fn.num_args,
+                  "arity mismatch calling " << fn.name);
+    push_frame(fn_id, ir::kNoReg);
+    activate(frames_[0]);
+    for (std::size_t i = 0; i < args.size(); ++i) regs[i] = args[i];
+    ip = code_base;  // entry block is block 0 at flat offset 0
+    run_start = ip;
+  }
+
+  static const void* const kLabels[] = {
+#define ILC_LABEL_ADDR(name) &&op_##name,
+      ILC_SIM_OPCODE_LIST(ILC_LABEL_ADDR)
+#undef ILC_LABEL_ADDR
+  };
+
+  try {
+    ILC_DISPATCH();
+
+    op_Nop: {
+      ILC_ISSUE(0);
+      ++ip;
+      ILC_DISPATCH();
+    }
+    op_Mov: {
+      const Reg ra = ip->a, rd = ip->dst;
+      ILC_ISSUE(ready[ra]);
+      regs[rd] = regs[ra];
+      ready[rd] = cycle + lat_alu;
+      ++ip;
+      ILC_DISPATCH();
+    }
+    op_LoadImm: {
+      const Reg rd = ip->dst;
+      ILC_ISSUE(0);
+      regs[rd] = ip->imm;
+      ready[rd] = cycle + lat_alu;
+      ++ip;
+      ILC_DISPATCH();
+    }
+
+    // Arithmetic is inlined (same semantics as ir::fold_constant:
+    // wrapping 64-bit, defined division edge cases, masked shifts).
+    ILC_BINOP(Add, lat_alu,
+              static_cast<std::int64_t>(static_cast<std::uint64_t>(va) +
+                                        static_cast<std::uint64_t>(vb)))
+    ILC_BINOP(Sub, lat_alu,
+              static_cast<std::int64_t>(static_cast<std::uint64_t>(va) -
+                                        static_cast<std::uint64_t>(vb)))
+    ILC_BINOP(Mul, lat_mul,
+              static_cast<std::int64_t>(static_cast<std::uint64_t>(va) *
+                                        static_cast<std::uint64_t>(vb)))
+    ILC_BINOP(Div, lat_div,
+              vb == 0 ? 0 : (va == INT64_MIN && vb == -1 ? INT64_MIN : va / vb))
+    ILC_BINOP(Rem, lat_div,
+              vb == 0 ? va : (va == INT64_MIN && vb == -1 ? 0 : va % vb))
+    ILC_BINOP(And, lat_alu, va& vb)
+    ILC_BINOP(Or, lat_alu, va | vb)
+    ILC_BINOP(Xor, lat_alu, va ^ vb)
+    ILC_BINOP(Shl, lat_alu,
+              static_cast<std::int64_t>(static_cast<std::uint64_t>(va)
+                                        << (static_cast<std::uint64_t>(vb) &
+                                            63)))
+    ILC_BINOP(Shr, lat_alu,  // arithmetic
+              va >> (static_cast<std::uint64_t>(vb) & 63))
+    ILC_BINOP(Min, lat_alu, std::min(va, vb))
+    ILC_BINOP(Max, lat_alu, std::max(va, vb))
+
+    op_Neg: {
+      const Reg ra = ip->a, rd = ip->dst;
+      ILC_ISSUE(ready[ra]);
+      regs[rd] =
+          static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(regs[ra]));
+      ready[rd] = cycle + lat_alu;
+      ++ip;
+      ILC_DISPATCH();
+    }
+    op_Not: {
+      const Reg ra = ip->a, rd = ip->dst;
+      ILC_ISSUE(ready[ra]);
+      regs[rd] = ~regs[ra];
+      ready[rd] = cycle + lat_alu;
+      ++ip;
+      ILC_DISPATCH();
+    }
+
+    ILC_BINOP(CmpEq, lat_alu, static_cast<std::int64_t>(va == vb))
+    ILC_BINOP(CmpNe, lat_alu, static_cast<std::int64_t>(va != vb))
+    ILC_BINOP(CmpLt, lat_alu, static_cast<std::int64_t>(va < vb))
+    ILC_BINOP(CmpLe, lat_alu, static_cast<std::int64_t>(va <= vb))
+    ILC_BINOP(CmpGt, lat_alu, static_cast<std::int64_t>(va > vb))
+    ILC_BINOP(CmpGe, lat_alu, static_cast<std::int64_t>(va >= vb))
+
+    op_GlobalAddr: {
+      const Reg rd = ip->dst;
+      ILC_ISSUE(0);
+      regs[rd] =
+          static_cast<std::int64_t>(gbase[static_cast<std::uint32_t>(ip->imm)]);
+      ready[rd] = cycle + lat_alu;
+      ++ip;
+      ILC_DISPATCH();
+    }
+    op_FrameAddr: {
+      const Reg rd = ip->dst;
+      ILC_ISSUE(0);
+      regs[rd] = static_cast<std::int64_t>(frame_base + ip->imm);
+      ready[rd] = cycle + lat_alu;
+      ++ip;
+      ILC_DISPATCH();
+    }
+
+    op_Load: {
+      const Reg ra = ip->a, rd = ip->dst;
+      ILC_ISSUE(ready[ra]);
+      const auto addr = static_cast<std::uint64_t>(regs[ra] + ip->imm);
+      const unsigned bytes = ip->width_bytes;
+      ILC_BOUNDS(addr, bytes);
+      total_[LD_INS] += 1;
+      const std::uint32_t lat = mem_access(addr, /*is_write=*/false);
+      const std::uint64_t v = load_le(mem + addr, bytes);
+      if (ip->is_ptr() || bytes == 8) {
+        regs[rd] = static_cast<std::int64_t>(v);
+      } else {
+        // Sign-extend data loads narrower than 8 bytes.
+        const unsigned shift = 64 - 8 * bytes;
+        regs[rd] = static_cast<std::int64_t>(v << shift) >> shift;
+      }
+      ready[rd] = cycle + lat;
+      ++ip;
+      ILC_DISPATCH();
+    }
+    op_Store: {
+      const Reg ra = ip->a, rb = ip->b;
+      ILC_ISSUE(std::max(ready[ra], ready[rb]));
+      const auto addr = static_cast<std::uint64_t>(regs[ra] + ip->imm);
+      const unsigned bytes = ip->width_bytes;
+      ILC_BOUNDS(addr, bytes);
+      total_[SR_INS] += 1;
+      // Stores retire through a store buffer: the cache access is
+      // counted but does not stall the pipeline.
+      mem_access(addr, /*is_write=*/true);
+      store_le(mem + addr, static_cast<std::uint64_t>(regs[rb]), bytes);
+      ++ip;
+      ILC_DISPATCH();
+    }
+    op_Prefetch: {
+      const Reg ra = ip->a;
+      ILC_ISSUE(ready[ra]);
+      const auto addr = static_cast<std::uint64_t>(regs[ra] + ip->imm);
+      // Non-binding: out-of-range prefetches are dropped, in-range ones
+      // warm the hierarchy without stalling.
+      if (addr >= ir::MemoryImage::kNullGuard && addr + 8 <= mem_size)
+        prefetch(addr);
+      ++ip;
+      ILC_DISPATCH();
+    }
+
+    op_Jump: {
+      ILC_ISSUE(0);
+      ILC_END_RUN();
+      ip = code_base + ip->t1;
+      run_start = ip;
+      ILC_DISPATCH();
+    }
+    op_Br: {
+      const Reg ra = ip->a;
+      ILC_ISSUE(ready[ra]);
+      total_[BR_INS] += 1;
+      const bool taken = regs[ra] != 0;
+      const auto branch_id = static_cast<std::uint64_t>(ip->imm);
+      const bool predicted = bpred_.predict(branch_id, ip->backward());
+      bpred_.update(branch_id, taken);
+      // Simulated mispredicts are inherently unpredictable to the host
+      // predictor too — keep the charge branch-free (pipeline redirect:
+      // penalty cycles, restart the issue group).
+      const bool missed = predicted != taken;
+      total_[BR_MSP] += missed;
+      cycle += missed ? mispredict_penalty : 0;
+      slots = missed ? 0 : slots;
+      ILC_END_RUN();
+      ip = code_base + (taken ? ip->t1 : ip->t2);
+      run_start = ip;
+      ILC_DISPATCH();
+    }
+    op_Call: {
+      const CallSite& cs = fnp->callsites[ip->t2];
+      std::uint64_t earliest = 0;
+      for (unsigned i = 0; i < cs.nargs; ++i)
+        earliest = std::max(earliest, ready[cs.args[i]]);
+      ILC_ISSUE(earliest);
+      cycle += call_overhead;
+      slots = 0;
+      std::array<std::int64_t, ir::kMaxCallArgs> vals{};
+      for (unsigned i = 0; i < cs.nargs; ++i) vals[i] = regs[cs.args[i]];
+      ILC_END_RUN();
+      frames_[depth - 1].resume_ip =
+          static_cast<std::uint32_t>(ip - code_base) + 1;
+      push_frame(ip->t1, ip->dst);  // may trap (depth / stack overflow)
+      activate(frames_[depth - 1]);
+      for (unsigned i = 0; i < fnp->num_args; ++i) regs[i] = vals[i];
+      ip = code_base;
+      run_start = ip;
+      ILC_DISPATCH();
+    }
+    op_Ret: {
+      const Reg ra = ip->a;
+      ILC_ISSUE(ra == ir::kNoReg ? 0 : ready[ra]);
+      const std::int64_t value = ra == ir::kNoReg ? 0 : regs[ra];
+      ILC_END_RUN();
+      --depth;
+      const ExecFrame& finished = frames_[depth];
+      frame_cursor = finished.frame_base;
+      reg_top = finished.reg_base;
+      if (depth == 0) {
+        final_ret = value;
+        goto exec_done;
+      }
+      const Reg ret_dst = finished.ret_dst;
+      activate(frames_[depth - 1]);
+      if (ret_dst != ir::kNoReg) {
+        regs[ret_dst] = value;
+        ready[ret_dst] = cycle + 1;
+      }
+      ip = code_base + frames_[depth - 1].resume_ip;
+      run_start = ip;
+      ILC_DISPATCH();
+    }
+
+  exec_done:
+    cycle_ = cycle;
+    slots_used_ = slots;
+    executed_ = executed;
+    total_[TOT_CYC] += cycle - cycles_before;
+
+    RunResult rr;
+    rr.ret = final_ret;
+    rr.cycles = cycle - cycles_before;
+    rr.instructions = executed - executed_before;
+    rr.counters = total_ - before;
+    return rr;
+  } catch (...) {
+    // A trap unwound mid-run: settle the partial straight-line run
+    // [run_start, ip] the reference would have retired one by one (the
+    // trapping instruction counts — the reference increments before
+    // executing), then sync machine state so post-trap observations match.
+    const std::ptrdiff_t part = (ip - run_start) + 1;
+    if (part > 0) {
+      executed += static_cast<std::uint64_t>(part);
+      total_[TOT_INS] += static_cast<std::uint64_t>(part);
+    }
+    cycle_ = cycle;
+    slots_used_ = slots;
+    executed_ = executed;
+    throw;
+  }
+}
 
 #undef ILC_SIM_OPCODE_LIST
-
-RunResult Simulator::call_decoded(FuncId fn_id,
-                                  const std::vector<std::int64_t>& args) {
-#if ILC_SIM_HAS_THREADED_DISPATCH
-  const bool threaded = cfg_.dispatch != DispatchMode::Switch;
-  if (cfg_.collect_counters) {
-    return threaded ? exec_decoded_threaded<true>(fn_id, args)
-                    : exec_decoded_switch<true>(fn_id, args);
-  }
-  return threaded ? exec_decoded_threaded<false>(fn_id, args)
-                  : exec_decoded_switch<false>(fn_id, args);
-#else
-  return cfg_.collect_counters ? exec_decoded_switch<true>(fn_id, args)
-                               : exec_decoded_switch<false>(fn_id, args);
-#endif
-}
+#undef ILC_DISPATCH
+#undef ILC_ISSUE
+#undef ILC_END_RUN
+#undef ILC_BOUNDS
+#undef ILC_BINOP
 
 }  // namespace ilc::sim

@@ -7,17 +7,18 @@
 // what the dynamic-optimization module needs to audit code versions
 // across execution intervals.
 //
-// Two execution paths produce bit-identical results:
-//   decoded (default) — executes a sim::DecodedProgram (flat pre-decoded
-//     superblock arrays shared through the process-wide ProgramCache);
-//     this is the evaluation hot path. Four specializations of one engine
-//     body (sim/exec_loop.inc) cover {threaded, switch} dispatch ×
-//     {instrumented, fast} counter modes — selected by
-//     MachineConfig::dispatch and MachineConfig::collect_counters.
-//   legacy — walks ir::Instr trees directly, re-deriving use lists,
-//     branch ids, and widths per instruction. Kept as the differential
-//     reference (tests) and the baseline of bench/sim_speed.
-// Select with MachineConfig::decoded_execution.
+// call()/run() execute a sim::DecodedProgram (flat pre-decoded superblock
+// arrays shared through the process-wide ProgramCache) with computed-goto
+// threaded dispatch. That is the only engine; every production caller
+// runs it.
+//
+// call_reference()/run_reference() walk the ir::Instr trees directly,
+// re-deriving use lists, branch ids, and widths per instruction. This
+// tree-walker is the differential reference for the engine (tests) and
+// the baseline of bench/sim_speed. It shares the memory image, caches,
+// predictor, and clock with the engine, and must agree with it bit for
+// bit: return value, cycles, instructions, and every counter. A Simulator
+// that only runs the reference never decodes.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +53,10 @@ struct RunResult {
 
 class Simulator {
  public:
-  /// When `decoded` is null and the config selects decoded execution, the
-  /// program is obtained from the process-wide ProgramCache. Callers that
-  /// already fingerprinted the module (the search Evaluator) pass the
-  /// decoded program explicitly to avoid a second fingerprint pass.
+  /// When `decoded` is null, the first engine call fetches the program from
+  /// the process-wide ProgramCache. Callers that already fingerprinted the
+  /// module (the search Evaluator) pass the decoded program explicitly to
+  /// avoid a second fingerprint pass.
   Simulator(const ir::Module& mod, const MachineConfig& cfg,
             std::shared_ptr<const DecodedProgram> decoded = nullptr);
 
@@ -66,6 +67,12 @@ class Simulator {
                  const std::vector<std::int64_t>& args = {});
   /// Invoke `main()` — the whole-program entry used by the harnesses.
   RunResult run();
+
+  /// The same invocations on the tree-walking reference (see the file
+  /// comment). For differential tests and bench/sim_speed only.
+  RunResult call_reference(ir::FuncId fn,
+                           const std::vector<std::int64_t>& args = {});
+  RunResult run_reference();
 
   /// Cumulative counters since construction / last reset.
   const Counters& counters() const { return total_; }
@@ -87,10 +94,9 @@ class Simulator {
   std::uint64_t global_base(ir::GlobalId gid) const;
   const MachineConfig& config() const { return cfg_; }
   const ir::Module& module() const { return *mod_; }
-  /// Null when executing on the legacy path.
-  const DecodedProgram* decoded_program() const { return decoded_.get(); }
 
  private:
+  /// Reference-path activation record.
   struct Frame {
     const ir::Function* fn = nullptr;
     ir::FuncId fn_id = ir::kNoFunc;
@@ -103,7 +109,7 @@ class Simulator {
     ir::Reg ret_dst = ir::kNoReg;  // caller register receiving the result
   };
 
-  /// Decoded-path activation record, POD: registers and scoreboard live in
+  /// Engine activation record, POD: registers and scoreboard live in
   /// the contiguous per-call stacks below (reg_base indexes both), so a
   /// simulated call allocates nothing after warmup.
   struct ExecFrame {
@@ -114,35 +120,24 @@ class Simulator {
     ir::Reg ret_dst = ir::kNoReg;
   };
 
-  RunResult call_legacy(ir::FuncId fn, const std::vector<std::int64_t>& args);
-  RunResult call_decoded(ir::FuncId fn, const std::vector<std::int64_t>& args);
-
-  /// The decoded engine body (sim/exec_loop.inc), instantiated for both
-  /// dispatch forms × both counter modes. kCounters=false compiles every
-  /// counter update out of the per-instruction path (the "fast" table);
-  /// the cache/branch models still run, so timing is bit-identical.
-  template <bool kCounters>
-  RunResult exec_decoded_switch(ir::FuncId fn,
-                                const std::vector<std::int64_t>& args);
-#if ILC_SIM_HAS_THREADED_DISPATCH
-  template <bool kCounters>
-  RunResult exec_decoded_threaded(ir::FuncId fn,
-                                  const std::vector<std::int64_t>& args);
-#endif
+  /// The engine: threaded dispatch over the decoded program.
+  RunResult execute(ir::FuncId fn, const std::vector<std::int64_t>& args);
+  /// The tree-walking reference.
+  RunResult interpret(ir::FuncId fn, const std::vector<std::int64_t>& args);
 
   /// Data-cache access; returns total load-to-use latency and updates
-  /// counters. is_write distinguishes load/store miss counters. Software
-  /// prefetches pass counted=false: they move lines but are invisible to
-  /// the architectural counters (as on real PMUs).
-  std::uint32_t mem_access(std::uint64_t addr, bool is_write,
-                           bool counted = true);
+  /// counters. is_write distinguishes load/store miss counters.
+  std::uint32_t mem_access(std::uint64_t addr, bool is_write);
+  /// Software prefetch: moves lines like a load, but is invisible to the
+  /// architectural counters (as on real PMUs).
+  void prefetch(std::uint64_t addr);
 
   std::int64_t load_value(std::uint64_t addr, unsigned bytes, bool is_ptr) const;
   void store_value(std::uint64_t addr, std::int64_t value, unsigned bytes);
   void bounds_check(std::uint64_t addr, unsigned bytes) const;
 
   const ir::Module* mod_;  // never null; switchable via switch_module
-  std::shared_ptr<const DecodedProgram> decoded_;  // null on the legacy path
+  std::shared_ptr<const DecodedProgram> decoded_;  // null until first call()
   MachineConfig cfg_;
   ir::MemoryImage image_;
   Cache l1_;
@@ -153,7 +148,7 @@ class Simulator {
   std::uint32_t slots_used_ = 0;   // instructions issued in cycle_
   std::uint64_t executed_ = 0;
 
-  // Decoded-path scratch, reused across invocations (no allocation on the
+  // Engine scratch, reused across invocations (no allocation on the
   // simulated call path after warmup).
   std::vector<ExecFrame> frames_;
   std::vector<std::int64_t> regstack_;

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "sim/cache.hpp"
-#include "sim/dispatch.hpp"
 
 namespace ilc::sim {
 
@@ -34,25 +33,6 @@ struct MachineConfig {
 
   /// Abort a run after this many dynamic instructions (infinite-loop guard).
   std::uint64_t max_instructions = 200'000'000;
-
-  /// Execute pre-decoded programs (the fast path). Off = the legacy
-  /// ir::Instr walk, kept as the differential reference and the baseline
-  /// of bench/sim_speed. Both paths are bit-identical in results, cycles,
-  /// and counters.
-  bool decoded_execution = true;
-
-  /// Collect PAPI-style hardware counters. Off selects the fast decoded
-  /// dispatch table with all counter bookkeeping compiled out of the
-  /// per-instruction path: RunResult::counters comes back all-zero while
-  /// ret/cycles/instructions stay bit-identical (the cache and branch
-  /// models still run — they drive the timing). The legacy path ignores
-  /// this and always collects.
-  bool collect_counters = true;
-
-  /// Dispatch strategy for decoded execution (see sim/dispatch.hpp).
-  /// Auto = threaded when the build supports it, else the portable
-  /// switch; both produce bit-identical results.
-  DispatchMode dispatch = DispatchMode::Auto;
 };
 
 MachineConfig c6713_like();

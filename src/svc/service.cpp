@@ -2,10 +2,12 @@
 
 #include <exception>
 #include <sstream>
+#include <stdexcept>
 
 #include "features/features.hpp"
 #include "ir/fingerprint.hpp"
 #include "ir/parser.hpp"
+#include "ir/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
@@ -197,6 +199,10 @@ std::shared_future<TuningResponse> TuningService::submit(
   try {
     if (!req.ir_text.empty()) {
       *module = ir::parse_module(req.ir_text);
+      // The simulator engine trusts the code it runs: client IR must pass
+      // the verifier before it is fingerprinted, cached, or queued.
+      if (const std::string err = ir::verify(*module); !err.empty())
+        throw std::invalid_argument("invalid module: " + err);
     } else {
       *module = wl::make_workload(req.program).module;
     }

@@ -1,21 +1,26 @@
-// Differential tests of the pre-decoded execution path: the decoded
-// simulator must be observationally indistinguishable from the legacy
-// tree-walking interpreter — same return value, same cycle count, same
-// instruction count, and the same value for every hardware counter — on
-// every stock workload and on a batch of randomized modules (random
-// optimization sequences applied to suite programs, which perturbs block
-// structure, branch placement, instruction mix, and record layouts).
+// Differential tests of the simulator engine: call()/run() (pre-decoded
+// superblocks, threaded dispatch) must be observationally
+// indistinguishable from the tree-walking reference (run_reference()) —
+// same return value, same cycle count, same instruction count, and the
+// same value for every hardware counter — on every stock workload, on a
+// batch of randomized modules (random optimization sequences applied to
+// suite programs, which perturbs block structure, branch placement,
+// instruction mix, and record layouts), on superblock-boundary stressors,
+// and across switch_module code versions. ("Legacy" in test names is the
+// reference.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "dynopt/dynopt.hpp"
 #include "ir/builder.hpp"
 #include "ir/fingerprint.hpp"
 #include "search/space.hpp"
 #include "sim/decoded_program.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/program_cache.hpp"
+#include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -23,23 +28,23 @@ namespace {
 
 using namespace ilc;
 
-sim::RunResult run_with(const ir::Module& mod, bool decoded) {
-  sim::MachineConfig cfg = sim::amd_like();
-  cfg.decoded_execution = decoded;
-  sim::Simulator sim(mod, cfg);
-  return sim.run();
-}
-
-void expect_identical(const ir::Module& mod, const std::string& label) {
-  const sim::RunResult legacy = run_with(mod, false);
-  const sim::RunResult decoded = run_with(mod, true);
-  EXPECT_EQ(legacy.ret, decoded.ret) << label;
-  EXPECT_EQ(legacy.cycles, decoded.cycles) << label;
-  EXPECT_EQ(legacy.instructions, decoded.instructions) << label;
+void expect_identical(const sim::RunResult& reference,
+                      const sim::RunResult& engine, const std::string& label) {
+  EXPECT_EQ(reference.ret, engine.ret) << label;
+  EXPECT_EQ(reference.cycles, engine.cycles) << label;
+  EXPECT_EQ(reference.instructions, engine.instructions) << label;
   for (unsigned c = 0; c < sim::kNumCounters; ++c)
-    EXPECT_EQ(legacy.counters.v[c], decoded.counters.v[c])
+    EXPECT_EQ(reference.counters.v[c], engine.counters.v[c])
         << label << " counter "
         << sim::counter_name(static_cast<sim::Counter>(c));
+}
+
+/// `main` on a fresh engine Simulator vs on a fresh reference Simulator.
+void expect_engine_matches_reference(const ir::Module& mod,
+                                     const std::string& label) {
+  const sim::MachineConfig cfg = sim::amd_like();
+  expect_identical(sim::Simulator(mod, cfg).run_reference(),
+                   sim::Simulator(mod, cfg).run(), label);
 }
 
 // --- stock workloads ------------------------------------------------------
@@ -48,7 +53,7 @@ class DecodedDifferential : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DecodedDifferential, MatchesLegacyOnStockWorkload) {
   const wl::Workload w = wl::make_workload(GetParam());
-  expect_identical(w.module, w.name);
+  expect_engine_matches_reference(w.module, w.name);
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, DecodedDifferential,
@@ -68,8 +73,37 @@ TEST(DecodedDifferentialRandom, MatchesLegacyOnRandomizedModules) {
     ir::Module mod = w.module;
     const auto seq = space.sample(rng);
     opt::run_sequence(mod, seq);
-    expect_identical(mod, w.name + "/" + search::sequence_to_string(seq));
+    expect_engine_matches_reference(
+        mod, w.name + "/" + search::sequence_to_string(seq));
   }
+}
+
+// --- multi-versioning -----------------------------------------------------
+
+TEST(DecodedDifferentialSwitchModule, MatchesReferenceAcrossCodeVersions) {
+  // dynopt's multi-versioning primitive: one Simulator keeps memory,
+  // caches, predictor, and clock while code versions are swapped in
+  // between execution intervals. Drive the engine and the reference
+  // through the same interval schedule; every interval must agree,
+  // including the machine state each version inherits from the last.
+  const wl::Workload w = wl::make_workload("adpcm");
+  const auto versions = dyn::default_versions(w.module);
+  const sim::MachineConfig cfg = sim::amd_like();
+  sim::Simulator engine(versions[0].module, cfg);
+  sim::Simulator reference(versions[0].module, cfg);
+  expect_identical(
+      reference.call_reference(versions[0].module.find_function("init")),
+      engine.call("init"), "init");
+  for (std::int64_t i = 0; i < w.kernel_items; ++i) {
+    const dyn::CodeVersion& v = versions[i % versions.size()];
+    engine.switch_module(v.module);
+    reference.switch_module(v.module);
+    expect_identical(
+        reference.call_reference(v.module.find_function("encode_block"), {i}),
+        engine.call("encode_block", {i}),
+        v.name + " interval " + std::to_string(i));
+  }
+  EXPECT_EQ(reference.counters().v, engine.counters().v);
 }
 
 // --- decoded representation & cache ---------------------------------------
@@ -123,42 +157,7 @@ TEST(ProgramCache, EvictsLeastRecentlyUsedAtCapacity) {
 // The engine retires instructions at run (superblock) granularity, so the
 // interesting places are the boundaries: every terminator kind, blocks
 // whose run is a single instruction, very long straight-line runs, and the
-// resume point after a call. Each shape is checked against the legacy
-// interpreter in all four decoded configurations — {threaded, switch}
-// dispatch × counters {on, off}.
-
-sim::RunResult run_decoded_mode(const ir::Module& mod, sim::DispatchMode dm,
-                                bool counters) {
-  sim::MachineConfig cfg = sim::amd_like();
-  cfg.decoded_execution = true;
-  cfg.dispatch = dm;
-  cfg.collect_counters = counters;
-  sim::Simulator sim(mod, cfg);
-  return sim.run();
-}
-
-void expect_identical_all_modes(const ir::Module& mod,
-                                const std::string& label) {
-  const sim::RunResult legacy = run_with(mod, false);
-  for (const sim::DispatchMode dm :
-       {sim::DispatchMode::Threaded, sim::DispatchMode::Switch}) {
-    for (const bool counters : {true, false}) {
-      const std::string tag =
-          label + (dm == sim::DispatchMode::Threaded ? "/threaded" : "/switch") +
-          (counters ? "/counters" : "/fast");
-      const sim::RunResult got = run_decoded_mode(mod, dm, counters);
-      EXPECT_EQ(legacy.ret, got.ret) << tag;
-      EXPECT_EQ(legacy.cycles, got.cycles) << tag;
-      EXPECT_EQ(legacy.instructions, got.instructions) << tag;
-      for (unsigned c = 0; c < sim::kNumCounters; ++c) {
-        const std::uint64_t want = counters ? legacy.counters.v[c] : 0;
-        EXPECT_EQ(want, got.counters.v[c])
-            << tag << " counter "
-            << sim::counter_name(static_cast<sim::Counter>(c));
-      }
-    }
-  }
-}
+// resume point after a call. Each shape is checked against the reference.
 
 TEST(SuperblockBoundary, SingleInstructionBlocksJumpChain) {
   // A chain of blocks each holding exactly one Jump: every superblock is a
@@ -179,7 +178,7 @@ TEST(SuperblockBoundary, SingleInstructionBlocksJumpChain) {
     }
   }
   b.finish();
-  expect_identical_all_modes(m, "jump_chain");
+  expect_engine_matches_reference(m, "jump_chain");
 }
 
 TEST(SuperblockBoundary, BrTakenAndFallthroughEveryIteration) {
@@ -207,7 +206,7 @@ TEST(SuperblockBoundary, BrTakenAndFallthroughEveryIteration) {
   b.switch_to(done);
   b.ret(acc);
   b.finish();
-  expect_identical_all_modes(m, "br_loop");
+  expect_engine_matches_reference(m, "br_loop");
 }
 
 TEST(SuperblockBoundary, MaxWidthStraightLineRun) {
@@ -220,7 +219,7 @@ TEST(SuperblockBoundary, MaxWidthStraightLineRun) {
   for (int i = 0; i < 400; ++i) v = b.add_i(v, i % 7);
   b.ret(v);
   b.finish();
-  expect_identical_all_modes(m, "max_width_run");
+  expect_engine_matches_reference(m, "max_width_run");
 }
 
 TEST(SuperblockBoundary, CallSuspendsAndResumesMidRun) {
@@ -247,15 +246,15 @@ TEST(SuperblockBoundary, CallSuspendsAndResumesMidRun) {
   const ir::Reg r = mb.call(fib, {mb.imm(10)});
   mb.ret(mb.add_i(r, 1000));
   mb.finish();
-  expect_identical_all_modes(m, "call_resume");
+  expect_engine_matches_reference(m, "call_resume");
 }
 
 TEST(SuperblockBoundary, BudgetTrapFiresInEveryMode) {
-  // An infinite loop must hit the instruction-budget trap on the legacy
-  // path and in all four decoded configurations. (The decoded engine
-  // checks the budget at superblock granularity, so the post-trap executed
-  // count may legitimately exceed the legacy path's by a partial block —
-  // only the trap itself is asserted here.)
+  // An infinite loop must hit the instruction-budget trap on the engine
+  // and on the reference. (The engine checks the budget at superblock
+  // granularity, so the post-trap executed count may legitimately exceed
+  // the reference's by a partial block — only the trap itself is asserted
+  // here.)
   ir::Module m;
   ir::FunctionBuilder b(m, "main", 0);
   const ir::BlockId spin = b.new_block();
@@ -266,24 +265,8 @@ TEST(SuperblockBoundary, BudgetTrapFiresInEveryMode) {
 
   sim::MachineConfig cfg = sim::amd_like();
   cfg.max_instructions = 10'000;
-  cfg.decoded_execution = false;
+  EXPECT_THROW(sim::Simulator(m, cfg).run_reference(), sim::TrapError);
   EXPECT_THROW(sim::Simulator(m, cfg).run(), sim::TrapError);
-  cfg.decoded_execution = true;
-  for (const sim::DispatchMode dm :
-       {sim::DispatchMode::Threaded, sim::DispatchMode::Switch}) {
-    for (const bool counters : {true, false}) {
-      cfg.dispatch = dm;
-      cfg.collect_counters = counters;
-      EXPECT_THROW(sim::Simulator(m, cfg).run(), sim::TrapError);
-    }
-  }
-}
-
-TEST(SuperblockBoundary, StockWorkloadAgreesInAllFourModes) {
-  // End-to-end belt-and-braces: a real workload through every dispatch ×
-  // counter configuration.
-  const wl::Workload w = wl::make_workload("crc32");
-  expect_identical_all_modes(w.module, "crc32");
 }
 
 // --- program cache: single-flight & eviction accounting -------------------
@@ -321,15 +304,19 @@ TEST(ProgramCache, StampedeDecodesOnce) {
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(got[0].get(), got[t].get());
 }
 
-TEST(DecodedSimulator, ExposesDecodedProgramOnlyWhenEnabled) {
-  const wl::Workload w = wl::make_workload("dotprod");
-  sim::MachineConfig on = sim::amd_like();
-  sim::MachineConfig off = sim::amd_like();
-  off.decoded_execution = false;
-  sim::Simulator with(w.module, on);
-  sim::Simulator without(w.module, off);
-  EXPECT_NE(with.decoded_program(), nullptr);
-  EXPECT_EQ(without.decoded_program(), nullptr);
+TEST(DecodedProgram, RejectsOutOfRangeGlobalId) {
+  // The GlobalAddr handler indexes the image's global table unchecked, so
+  // the decoder must refuse ids the module does not declare.
+  ir::Module m;
+  ir::FunctionBuilder b(m, "main", 0);
+  b.ret(b.global_addr(0));
+  b.finish();
+  EXPECT_THROW(sim::decode_program(m), support::CheckError);
+  ir::Global g;
+  g.name = "g";
+  g.count = 4;
+  m.add_global(g);
+  EXPECT_NO_THROW(sim::decode_program(m));
 }
 
 }  // namespace

@@ -314,13 +314,67 @@ TEST(Svc, UnknownProgramYieldsErrorResponseNotThrow) {
   EXPECT_EQ(service.metrics().errors, 1u);
 }
 
+// Inline IR that does not parse, or parses but fails ir::verify, is
+// answered at submit: nothing is queued or searched, no evaluator is
+// built, and the simulator never runs it. (The out-of-range global id
+// used to crash the whole process inside the simulator engine.) Valid
+// uploads are unaffected: ParserRoundTrip checks that every stock program
+// verifies after a print/parse round trip.
 TEST(Svc, MalformedInlineIrYieldsErrorResponse) {
-  svc::TuningService service({.workers = 1});
-  svc::TuningRequest req = request("inline");
-  req.ir_text = "fn main( {{{ not ir";
-  const svc::TuningResponse r = service.tune(req);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(service.metrics().errors, 1u);
+  const struct {
+    const char* what;  // also the diagnostic the reply must carry
+    const char* ir;
+  } cases[] = {
+      {"instruction outside block", "fn main( {{{ not ir"},
+      {"bad global id",
+       "module m ptr=8\n"
+       "func @main(0) regs=1 frame=0 {\n"
+       "bb0:\n"
+       "  r0 = gaddr @40000\n"
+       "  ret r0\n"
+       "}\n"},
+      {"bad source register",
+       "module m ptr=8\n"
+       "func @main(0) regs=1 frame=0 {\n"
+       "bb0:\n"
+       "  r0 = mov r7\n"
+       "  ret r0\n"
+       "}\n"},
+      {"bad branch target",
+       "module m ptr=8\n"
+       "func @main(0) regs=1 frame=0 {\n"
+       "bb0:\n"
+       "  r0 = imm 1\n"
+       "  br r0, bb7, bb0\n"
+       "}\n"},
+      {"num_args exceeds num_regs",
+       "module m ptr=8\n"
+       "func @f(3) regs=1 frame=0 {\n"
+       "bb0:\n"
+       "  ret r0\n"
+       "}\n"
+       "func @main(0) regs=1 frame=0 {\n"
+       "bb0:\n"
+       "  r0 = imm 1\n"
+       "  r0 = call @0(r0, r0, r0)\n"
+       "  ret r0\n"
+       "}\n"},
+  };
+  for (const auto& c : cases) {
+    svc::TuningService service({.workers = 1});
+    svc::TuningRequest req = request("inline");
+    req.ir_text = c.ir;
+    const svc::TuningResponse r = service.tune(req);
+    EXPECT_FALSE(r.ok) << c.what;
+    EXPECT_EQ(svc::format_response(r).rfind("err ", 0), 0u) << c.what;
+    EXPECT_NE(r.error.find(c.what), std::string::npos) << r.error;
+    const svc::Metrics m = service.metrics();
+    EXPECT_EQ(m.errors, 1u) << c.what;
+    EXPECT_EQ(m.searches, 0u) << c.what;
+    EXPECT_EQ(service.evaluator_count(), 0u) << c.what;
+    // The service that refused the module goes on answering.
+    EXPECT_TRUE(service.tune(request("fir", 2)).ok) << c.what;
+  }
 }
 
 // Inline IR shares the cache with identically-fingerprinted code: tuning a
