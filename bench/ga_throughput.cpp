@@ -2,17 +2,31 @@
 // Fig. 2 target (adpcm). Every width re-runs the identical fixed-seed GA
 // from a cold evaluator and program cache; the bench fails unless each
 // parallel trace is bit-identical to the sequential one (same best_so_far
-// curve, best sequence, and best metric) — speed is only admissible if
-// determinism held. Speedups are bounded by the host's core count, which
-// is recorded alongside the numbers.
+// curve, best sequence, and best metric) and simulated the same number of
+// distinct programs — speed is only admissible if determinism held.
+// Speedups are bounded by the host's core count, which is recorded
+// alongside the numbers.
 //
-//   ILC_GA_BUDGET  evaluations per run   (default 400)
-//   ILC_GA_SEED    GA seed               (default 2008)
-//   --smoke        budget 60 (CI correctness pass)
-//   --json <path>  machine-readable summary
+// Per width it also records where the evaluations went: `pipelines` is
+// how many ran the module copy, the pass pipeline and the fingerprint
+// (sequence-index misses), `sims` how many of those simulated (fingerprint
+// misses). At one worker both counts are deterministic for a seed and
+// budget, so the baseline gate compares counts, not host speed.
+//
+//   ILC_GA_BUDGET      evaluations per run   (default 400)
+//   ILC_GA_SEED        GA seed               (default 2008)
+//   --smoke            budget 60 (CI correctness pass)
+//   --json <path>      machine-readable summary
+//   --baseline <json>  compare against a prior record (a --json summary, or
+//                      a file holding one under a "ga_throughput" key);
+//                      a non-smoke run at the record's seed and budget
+//                      exits nonzero when its 1-worker pipeline or
+//                      simulation count exceeds the record's
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -31,6 +45,8 @@ using Clock = std::chrono::steady_clock;
 struct Run {
   search::SearchTrace trace;
   double secs = 0.0;
+  std::size_t pipelines = 0;
+  std::size_t simulations = 0;
 };
 
 Run run_ga(const ir::Module& mod, unsigned budget, std::uint64_t seed,
@@ -50,6 +66,9 @@ Run run_ga(const ir::Module& mod, unsigned budget, std::uint64_t seed,
   out.trace = search::genetic_search(eval, space, rng, budget,
                                      search::Objective::Cycles, params);
   out.secs = std::chrono::duration<double>(Clock::now() - t0).count();
+  out.simulations = eval.simulations();
+  out.pipelines =
+      eval.simulations() + eval.cache_hits() - eval.sequence_hits();
   return out;
 }
 
@@ -62,6 +81,49 @@ std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.2f", v);
   return buf;
+}
+
+/// The 1-worker counts of a prior record. Parsed by scanning for the exact
+/// key/value shapes our own emitter writes — not a general JSON reader.
+struct Baseline {
+  bool loaded = false;
+  std::uint64_t budget = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t pipelines = 0;
+  std::uint64_t simulations = 0;
+};
+
+Baseline load_baseline(const std::string& path) {
+  Baseline b;
+  std::ifstream in(path);
+  if (!in) return b;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string text = ss.str();
+
+  // Value of the first `key` at or after `from`; npos when absent.
+  const auto field = [&](const char* key, std::size_t from,
+                         std::uint64_t* out) {
+    const std::size_t k = text.find(key, from);
+    if (k == std::string::npos) return k;
+    const std::size_t colon = text.find(':', k);
+    if (colon == std::string::npos) return colon;
+    *out = std::strtoull(text.c_str() + colon + 1, nullptr, 10);
+    return k;
+  };
+
+  // Our emitter writes the 1-worker row first.
+  constexpr std::size_t npos = std::string::npos;
+  std::uint64_t workers = 0;
+  const std::size_t section = text.find("\"ga_throughput\"");
+  const std::size_t row =
+      section == npos ? npos : field("\"workers\"", section, &workers);
+  b.loaded = row != npos && workers == 1 &&
+             field("\"budget\"", section, &b.budget) != npos &&
+             field("\"seed\"", section, &b.seed) != npos &&
+             field("\"pipelines\"", row, &b.pipelines) != npos &&
+             field("\"simulations\"", row, &b.simulations) != npos;
+  return b;
 }
 
 }  // namespace
@@ -78,37 +140,68 @@ int main(int argc, char** argv) {
               w.name.c_str(), budget, static_cast<unsigned long long>(seed),
               host_threads);
 
-  support::Table table(
-      {"workers", "secs", "evals/s", "speedup", "trace == seq"});
+  support::Table table({"workers", "secs", "evals/s", "speedup", "pipelines",
+                        "sims", "trace == seq"});
   std::vector<std::string> json_rows;
   bool ok = true;
-  double base_secs = 0.0;
-  search::SearchTrace reference;
+  Run reference;
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     const Run run = run_ga(w.module, budget, seed, workers);
-    if (workers == 1) {
-      base_secs = run.secs;
-      reference = run.trace;
-    }
-    const bool same = identical(run.trace, reference);
+    if (workers == 1) reference = run;
+    const bool same = identical(run.trace, reference.trace) &&
+                      run.simulations == reference.simulations;
     ok = ok && same;
 
-    const double speedup = base_secs / run.secs;
+    const double speedup = reference.secs / run.secs;
     const double eps = run.trace.evaluations / run.secs;
     table.add_row({std::to_string(workers), fmt(run.secs), fmt(eps),
-                   fmt(speedup), same ? "yes" : "NO"});
+                   fmt(speedup), std::to_string(run.pipelines),
+                   std::to_string(run.simulations), same ? "yes" : "NO"});
     json_rows.push_back(bench::Json()
                             .integer("workers", workers)
                             .number("secs", run.secs)
                             .number("evals_per_s", eps)
                             .number("speedup_vs_1", speedup)
+                            .integer("evaluations", run.trace.evaluations)
+                            .integer("pipelines", run.pipelines)
+                            .integer("simulations", run.simulations)
                             .boolean("trace_identical", same)
                             .render());
   }
   table.print(std::cout);
   std::printf("\nall parallel traces bit-identical to sequential: %s\n",
               ok ? "PASS" : "FAIL");
+
+  // --baseline gate: the 1-worker counts may not grow. Smoke runs (and
+  // runs at another seed or budget) report but never fail on it.
+  bool counts_ok = true;
+  if (!args.baseline_path.empty()) {
+    const Baseline base = load_baseline(args.baseline_path);
+    if (!base.loaded) {
+      std::fprintf(stderr, "cannot parse baseline %s\n",
+                   args.baseline_path.c_str());
+      return 1;
+    }
+    std::printf("\nbaseline %s (budget %llu, seed %llu), 1 worker:\n"
+                "  pipelines %llu -> %zu, simulations %llu -> %zu\n",
+                args.baseline_path.c_str(),
+                static_cast<unsigned long long>(base.budget),
+                static_cast<unsigned long long>(base.seed),
+                static_cast<unsigned long long>(base.pipelines),
+                reference.pipelines,
+                static_cast<unsigned long long>(base.simulations),
+                reference.simulations);
+    if (base.budget != budget || base.seed != seed) {
+      std::printf("  not comparable: this run is budget %u, seed %llu\n",
+                  budget, static_cast<unsigned long long>(seed));
+    } else {
+      counts_ok = reference.pipelines <= base.pipelines &&
+                  reference.simulations <= base.simulations;
+      std::printf("  baseline gate: %s\n", counts_ok ? "PASS" : "FAIL");
+    }
+    if (args.smoke) counts_ok = true;  // smoke reports, never gates
+  }
 
   if (!args.json_path.empty()) {
     const bench::Json doc = bench::Json()
@@ -124,5 +217,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return ok ? 0 : 1;
+  return ok && counts_ok ? 0 : 1;
 }

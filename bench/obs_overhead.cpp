@@ -112,7 +112,8 @@ int main(int argc, char** argv) {
   //   Simulator::call       1 timer + 5 counter adds
   //   ProgramCache::get     1 counter add (+1 timer on miss)
   //   Evaluator::simulate   1 span + 1 timer + 1 counter add
-  //   eval cache hit        1 counter add
+  //   fingerprint memo hit  1 counter add
+  //   sequence index hit    2 counter adds (eval cache + seq memo)
   obs::set_profiling_enabled(false);
   obs::Tracer::set_enabled(false);
   const obs::RegistrySnapshot before = obs::Registry::instance().snapshot();
@@ -130,9 +131,11 @@ int main(int argc, char** argv) {
       counter_delta(before, after, "search.simulations");
   const std::uint64_t eval_hits =
       counter_delta(before, after, "search.eval_cache.hits");
+  const std::uint64_t seq_hits =
+      counter_delta(before, after, "search.seq_memo.hits");
 
   const std::uint64_t counter_adds =
-      5 * inv + pc_hits + pc_misses + 2 * sims + eval_hits;
+      5 * inv + pc_hits + pc_misses + 2 * sims + eval_hits + seq_hits;
   const std::uint64_t timer_events = inv + pc_misses + sims;
   const std::uint64_t span_events = sims;
 

@@ -20,18 +20,26 @@ obs::Counter& c_eval_cache_hits() {
       obs::Registry::instance().counter("search.eval_cache.hits");
   return c;
 }
+obs::Counter& c_seq_memo_hits() {
+  static obs::Counter c =
+      obs::Registry::instance().counter("search.seq_memo.hits");
+  return c;
+}
 obs::Histogram& h_simulate_us() {
   static obs::Histogram h =
       obs::Registry::instance().histogram("search.simulate_us");
   return h;
 }
 
-/// Per-thread scratch for candidate materialization: copy-assigning the
+/// Candidate materialization into per-thread scratch: copy-assigning the
 /// base module into a retained buffer reuses the vectors' capacity from
 /// the previous candidate instead of re-allocating the whole module tree
 /// for every evaluation.
-ir::Module& scratch_module() {
+const ir::Module& materialize(const ir::Module& base,
+                              const std::vector<opt::PassId>& seq) {
   thread_local ir::Module scratch;
+  scratch = base;
+  opt::run_sequence(scratch, seq);
   return scratch;
 }
 
@@ -67,10 +75,13 @@ EvalResult Evaluator::simulate(const ir::Module& optimized_mod,
   return res;
 }
 
-EvalResult Evaluator::measure(const ir::Module& optimized_mod) {
-  const std::uint64_t fp = ir::fingerprint(optimized_mod);
-  if (!cache_enabled_) return simulate(optimized_mod, fp);
+void Evaluator::count_hit() {
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  c_eval_cache_hits().add(1);
+}
 
+const EvalResult& Evaluator::memoized(const ir::Module& optimized_mod,
+                                      std::uint64_t fp) {
   Shard& sh = shard_of(fp);
   {
     std::unique_lock<std::mutex> lock(sh.mu);
@@ -82,8 +93,7 @@ EvalResult Evaluator::measure(const ir::Module& optimized_mod) {
         break;
       }
       if (it->second.ready) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        c_eval_cache_hits().add(1);
+        count_hit();
         return it->second.result;
       }
       // Follower: a leader is simulating this fingerprint right now.
@@ -103,28 +113,48 @@ EvalResult Evaluator::measure(const ir::Module& optimized_mod) {
     throw;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    Entry& e = sh.map[fp];
-    e.result = res;
-    e.ready = true;
-  }
+  std::lock_guard<std::mutex> lock(sh.mu);
+  Entry& e = sh.map[fp];
+  e.result = res;
+  e.ready = true;
   sh.cv.notify_all();
-  return res;
+  return e.result;
 }
 
 EvalResult Evaluator::eval_sequence(const std::vector<opt::PassId>& seq) {
-  ir::Module& m = scratch_module();
-  m = base_;
-  opt::run_sequence(m, seq);
-  return measure(m);
+  if (!cache_enabled_) {
+    const ir::Module& m = materialize(base_, seq);
+    return simulate(m, ir::fingerprint(m));
+  }
+
+  // The exact sequence is the key (a hash alone could serve another
+  // sequence's result); up to 15 passes fit the string's inline buffer.
+  std::string key(seq.size(), '\0');
+  for (std::size_t i = 0; i < seq.size(); ++i)
+    key[i] = static_cast<char>(seq[i]);
+  Shard& ks = shard_of(std::hash<std::string>{}(key));
+  {
+    std::lock_guard<std::mutex> lock(ks.mu);
+    const auto it = ks.seqs.find(key);
+    if (it != ks.seqs.end()) {
+      count_hit();
+      sequence_hits_.fetch_add(1, std::memory_order_relaxed);
+      c_seq_memo_hits().add(1);
+      return *it->second;
+    }
+  }
+
+  const ir::Module& m = materialize(base_, seq);
+  const EvalResult& res = memoized(m, ir::fingerprint(m));
+  // Indexed only now that the result is ready: a throwing simulation
+  // propagated above and left no entry.
+  std::lock_guard<std::mutex> lock(ks.mu);
+  ks.seqs.emplace(std::move(key), &res);
+  return res;
 }
 
 EvalResult Evaluator::eval_flags(const opt::OptFlags& flags) {
-  ir::Module& m = scratch_module();
-  m = base_;
-  opt::run_sequence(m, opt::pipeline(flags));
-  return measure(m);
+  return eval_sequence(opt::pipeline(flags));
 }
 
 }  // namespace ilc::search

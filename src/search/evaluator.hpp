@@ -4,12 +4,24 @@
 // distinct sequences frequently converge to identical code, and the cache
 // collapses them (design decision #4 in DESIGN.md).
 //
+// In front of that memo sits an index keyed by the exact pass sequence.
+// Passes are pure functions of the module and the base module is fixed per
+// evaluator, so a sequence always yields the same fingerprint: a repeat
+// (GA elites and re-bred children, svc requests sharing an evaluator)
+// returns the memoized result without the module copy, the pass pipeline
+// or the fingerprint. The index maps a sequence to a *ready* fingerprint
+// entry and is filled only after that entry's result landed, so a
+// sequence hit is always a case the fingerprint memo would also have hit:
+// it never changes which candidates simulate, and a candidate whose
+// simulation throws leaves no entry at either level. eval_flags runs
+// through the same index via opt::pipeline.
+//
 // Built for concurrent callers (the parallel GA and the tuning service):
-// the memo cache is striped across sharded mutexes so unrelated
-// fingerprints never contend, and each shard is single-flight — when two
-// workers miss on the same fingerprint simultaneously, one simulates and
-// the others block on the shard's condition variable until the result
-// lands, so every unique fingerprint is simulated exactly once. Candidate
+// both levels are striped across sharded mutexes so unrelated keys never
+// contend, and the fingerprint memo is single-flight — when two workers
+// miss on the same fingerprint simultaneously, one simulates and the
+// others block on the shard's condition variable until the result lands,
+// so every unique fingerprint is simulated exactly once. Candidate
 // materialization reuses a per-thread scratch module (copy-assignment into
 // retained capacity) instead of constructing a fresh deep copy per
 // candidate.
@@ -19,6 +31,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "ir/module.hpp"
@@ -48,26 +61,37 @@ class Evaluator {
 
   /// Number of real simulations performed / cache hits observed. Atomic,
   /// so harnesses may poll them while workers are still evaluating.
-  /// A thread that joins an in-flight simulation of the same fingerprint
-  /// counts as a cache hit (it did not simulate).
+  /// simulations() + cache_hits() is the number of eval_* calls. A thread
+  /// that joins an in-flight simulation of the same fingerprint counts as
+  /// a cache hit (it did not simulate).
   std::size_t simulations() const {
     return simulations_.load(std::memory_order_relaxed);
   }
   std::size_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
   }
+  /// The cache hits answered by the sequence index, which skipped the
+  /// module copy, the pass pipeline and the fingerprint.
+  std::size_t sequence_hits() const {
+    return sequence_hits_.load(std::memory_order_relaxed);
+  }
+  /// Turns both memo levels on or off; off simulates every call.
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
 
   const ir::Module& base() const { return base_; }
   const sim::MachineConfig& machine() const { return cfg_; }
 
  private:
-  EvalResult measure(const ir::Module& optimized_mod);
+  /// The fingerprint memo: the ready entry's result, simulating on a miss.
+  const EvalResult& memoized(const ir::Module& optimized_mod,
+                             std::uint64_t fp);
   EvalResult simulate(const ir::Module& optimized_mod, std::uint64_t fp);
+  void count_hit();
 
-  /// One stripe of the memo cache. An entry is inserted not-ready by the
-  /// thread that takes ownership of the simulation (the leader); followers
-  /// wait on the shard cv. Erased (and broadcast) if the leader throws.
+  /// One stripe of both memo levels. A fingerprint entry is inserted
+  /// not-ready by the thread that takes ownership of the simulation (the
+  /// leader); followers wait on the shard cv. Erased (and broadcast) if
+  /// the leader throws; never erased once ready.
   struct Entry {
     bool ready = false;
     EvalResult result;
@@ -76,9 +100,13 @@ class Evaluator {
     std::mutex mu;
     std::condition_variable cv;
     std::unordered_map<std::uint64_t, Entry> map;
+    /// Sequence index, one byte per PassId -> the result of a ready entry
+    /// in some shard's `map` (map nodes never move, so the pointer lives
+    /// as long as the evaluator).
+    std::unordered_map<std::string, const EvalResult*> seqs;
   };
   static constexpr std::size_t kShards = 16;
-  Shard& shard_of(std::uint64_t fp) { return shards_[fp % kShards]; }
+  Shard& shard_of(std::uint64_t hash) { return shards_[hash % kShards]; }
 
   ir::Module base_;
   sim::MachineConfig cfg_;
@@ -86,6 +114,7 @@ class Evaluator {
   std::array<Shard, kShards> shards_;
   std::atomic<std::size_t> simulations_{0};
   std::atomic<std::size_t> cache_hits_{0};
+  std::atomic<std::size_t> sequence_hits_{0};
 };
 
 }  // namespace ilc::search

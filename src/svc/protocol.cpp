@@ -39,13 +39,10 @@ Command invalid(const std::string& why) {
   return c;
 }
 
-bool parse_u64_field(const std::string& s, std::uint64_t& out) {
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), last, out);
-  return ec == std::errc() && ptr == last && !s.empty();
-}
-
-bool parse_int_field(const std::string& s, int& out) {
+/// Whole-string decimal parse into `out`'s type; a value that does not
+/// fit the type is an error, never a wrapped or truncated number.
+template <typename T>
+bool parse_field(const std::string& s, T& out) {
   const char* last = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), last, out);
   return ec == std::errc() && ptr == last && !s.empty();
@@ -72,9 +69,7 @@ std::string apply_option(TuningRequest& req, const std::string& key,
     else if (value == "c6713") req.machine = sim::c6713_like();
     else return "unknown machine '" + value + "' (amd|c6713)";
   } else if (key == "budget") {
-    std::uint64_t v = 0;
-    if (!parse_u64_field(value, v)) return "bad budget '" + value + "'";
-    req.budget = static_cast<unsigned>(v);
+    if (!parse_field(value, req.budget)) return "bad budget '" + value + "'";
   } else if (key == "objective") {
     if (value == "cycles") req.objective = search::Objective::Cycles;
     else if (value == "size") req.objective = search::Objective::CodeSize;
@@ -90,12 +85,12 @@ std::string apply_option(TuningRequest& req, const std::string& key,
     else if (value == "genetic") req.strategy = Strategy::Genetic;
     else return "unknown strategy '" + value + "'";
   } else if (key == "priority") {
-    if (!parse_int_field(value, req.priority))
+    if (!parse_field(value, req.priority))
       return "bad priority '" + value + "'";
   } else if (key == "seed") {
-    if (!parse_u64_field(value, req.seed)) return "bad seed '" + value + "'";
+    if (!parse_field(value, req.seed)) return "bad seed '" + value + "'";
   } else if (key == "timeout_ms") {
-    if (!parse_u64_field(value, req.timeout_ms))
+    if (!parse_field(value, req.timeout_ms))
       return "bad timeout_ms '" + value + "'";
   } else {
     return "unknown option '" + key + "'";
@@ -132,7 +127,7 @@ Command parse_command(const std::string& line) {
   if (words[0] == "module") {
     if (words.size() != 3) return invalid("module: want `module <name> <n>`");
     std::uint64_t n = 0;
-    if (!parse_u64_field(words[2], n))
+    if (!parse_field(words[2], n))
       return invalid("module: bad line count '" + words[2] + "'");
     c.kind = Command::Kind::Module;
     c.module_name = words[1];

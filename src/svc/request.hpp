@@ -39,7 +39,8 @@ struct TuningRequest {
   int priority = 0;
   /// Search RNG seed — responses are deterministic in (request, KB state).
   std::uint64_t seed = 2008;
-  /// Deadline for the whole request, measured from submit(). 0 = none.
+  /// Deadline for the whole request, measured from submit(). 0 = none, as
+  /// is a timeout past the range of the service's steady clock.
   /// A job whose deadline passes while it waits in the queue resolves as
   /// Source::TimedOut without running a search.
   std::uint64_t timeout_ms = 0;

@@ -50,7 +50,8 @@ struct TuningService::Job {
   int priority = 0;
   std::uint64_t seq = 0;
   Clock::time_point submitted;
-  /// Deadline derived from TuningRequest::timeout_ms at submit time.
+  /// Deadline derived from TuningRequest::timeout_ms at submit time; none
+  /// for a timeout the clock cannot represent.
   bool has_deadline = false;
   Clock::time_point deadline;
   /// The request's root span (the submit() span): workers adopt it, so
@@ -345,7 +346,13 @@ std::shared_future<TuningResponse> TuningService::submit(
     job->priority = job->request.priority;
     job->seq = next_seq_++;
     job->submitted = start;
-    if (job->request.timeout_ms > 0) {
+    // A timeout past the clock's range (start + timeout would overflow)
+    // is no deadline at all.
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - start);
+    if (job->request.timeout_ms > 0 &&
+        job->request.timeout_ms <
+            static_cast<std::uint64_t>(headroom.count())) {
       job->has_deadline = true;
       job->deadline =
           start + std::chrono::milliseconds(job->request.timeout_ms);

@@ -1,8 +1,13 @@
-// Search-layer tests: evaluator caching, sequence-space combinatorics,
+// Search-layer tests: evaluator caching (the fingerprint memo and the
+// sequence index in front of it), sequence-space combinatorics,
 // strategy behaviour (random / greedy / GA / generator), enumeration, and
 // the FOCUSSED model's learning behaviour.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "ir/fingerprint.hpp"
 #include "kb/knowledge_base.hpp"
 #include "obs/metrics.hpp"
 #include "search/evaluator.hpp"
@@ -91,6 +96,115 @@ TEST(EvaluatorCache, DisableForcesResimulation) {
   eval.eval_sequence({PassId::Dce});
   EXPECT_EQ(eval.simulations(), 2u);
   EXPECT_EQ(eval.cache_hits(), 0u);
+  EXPECT_EQ(eval.sequence_hits(), 0u);
+}
+
+std::uint64_t registry_counter(const std::string& name) {
+  const obs::RegistrySnapshot snap = obs::Registry::instance().snapshot();
+  const obs::CounterValue* c = snap.counter(name);
+  return c ? c->value : 0;
+}
+
+// Both memo levels, counted exactly: a repeated sequence is a sequence
+// hit, a new sequence that optimizes to already-seen code is a
+// fingerprint hit, and anything else simulates. A repeat returns the
+// first evaluation's result, field for field.
+TEST(EvaluatorCache, RepeatsCountExactlyAtBothLevels) {
+  wl::Workload w = wl::make_workload("crc32");
+  Evaluator eval(w.module, sim::amd_like());
+  const std::vector<std::vector<PassId>> calls = {
+      {},
+      {PassId::Dce},
+      {PassId::Dce, PassId::Dce},
+      {PassId::Dce},
+      {},
+      {PassId::Cse, PassId::Dce},
+      {PassId::Dce, PassId::Dce},
+      {PassId::Dce, PassId::Cse},
+      {PassId::Dce}};
+
+  std::set<std::vector<PassId>> seen_seqs;
+  std::set<std::uint64_t> seen_fps;
+  std::size_t sims = 0, fp_hits = 0, seq_hits = 0;
+  for (const auto& seq : calls) {
+    const std::uint64_t fp = ir::fingerprint(eval.optimized(seq));
+    if (!seen_seqs.insert(seq).second) ++seq_hits;
+    else if (!seen_fps.insert(fp).second) ++fp_hits;
+    else ++sims;
+  }
+  ASSERT_GT(fp_hits, 0u) << "the list must exercise the fingerprint level";
+  ASSERT_GT(seq_hits, 0u);
+
+  const std::uint64_t reg_hits = registry_counter("search.eval_cache.hits");
+  const std::uint64_t reg_seq = registry_counter("search.seq_memo.hits");
+  std::map<std::vector<PassId>, EvalResult> first;
+  for (const auto& seq : calls) {
+    const EvalResult r = eval.eval_sequence(seq);
+    const auto [it, fresh] = first.emplace(seq, r);
+    if (fresh) continue;
+    EXPECT_EQ(r.cycles, it->second.cycles);
+    EXPECT_EQ(r.code_size, it->second.code_size);
+    EXPECT_EQ(r.instructions, it->second.instructions);
+    EXPECT_EQ(r.counters, it->second.counters);
+  }
+
+  EXPECT_EQ(eval.simulations(), sims);
+  EXPECT_EQ(eval.cache_hits(), fp_hits + seq_hits);
+  EXPECT_EQ(eval.sequence_hits(), seq_hits);
+  EXPECT_EQ(eval.simulations() + eval.cache_hits(), calls.size());
+  EXPECT_EQ(registry_counter("search.eval_cache.hits") - reg_hits,
+            fp_hits + seq_hits);
+  EXPECT_EQ(registry_counter("search.seq_memo.hits") - reg_seq, seq_hits);
+}
+
+TEST(EvaluatorCache, FlagsAndTheirPipelineShareOneEntry) {
+  wl::Workload w = wl::make_workload("crc32");
+  Evaluator eval(w.module, sim::amd_like());
+  const opt::OptFlags fast = opt::fast_flags();
+  const EvalResult by_flags = eval.eval_flags(fast);
+  const EvalResult by_seq = eval.eval_sequence(opt::pipeline(fast));
+  EXPECT_EQ(by_flags.cycles, by_seq.cycles);
+  EXPECT_EQ(eval.simulations(), 1u);
+  EXPECT_EQ(eval.sequence_hits(), 1u);
+
+  // And the other way round.
+  opt::OptFlags licm;
+  licm.licm = true;
+  eval.eval_sequence(opt::pipeline(licm));
+  eval.eval_flags(licm);
+  EXPECT_EQ(eval.sequence_hits(), 2u);
+  EXPECT_EQ(eval.simulations() + eval.cache_hits(), 4u);
+}
+
+// A candidate whose simulation traps leaves no entry at either level: it
+// throws again on every evaluation, while completing candidates of the
+// same evaluator memoize as usual.
+TEST(EvaluatorCache, TrappingCandidateThrowsEveryTimeAndIsNeverMemoized) {
+  wl::Workload w = wl::make_workload("crc32");
+  const std::vector<PassId> fast = opt::fast_pipeline();
+  const std::uint64_t o0_instrs =
+      Evaluator(w.module, sim::amd_like()).eval_sequence({}).instructions;
+  const std::uint64_t fast_instrs =
+      Evaluator(w.module, sim::amd_like()).eval_sequence(fast).instructions;
+  ASSERT_LT(fast_instrs, o0_instrs * 9 / 10);
+
+  // An instruction budget between the two run lengths: -O0 traps, FAST
+  // completes.
+  sim::MachineConfig cfg = sim::amd_like();
+  cfg.max_instructions = (o0_instrs + fast_instrs) / 2;
+  Evaluator eval(w.module, cfg);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_THROW(eval.eval_sequence({}), sim::TrapError) << i;
+  EXPECT_EQ(eval.simulations(), 0u);
+  EXPECT_EQ(eval.cache_hits(), 0u);
+
+  eval.eval_sequence(fast);
+  eval.eval_sequence(fast);
+  EXPECT_EQ(eval.simulations(), 1u);
+  EXPECT_EQ(eval.sequence_hits(), 1u);
+  EXPECT_THROW(eval.eval_sequence({}), sim::TrapError);
+  EXPECT_THROW(eval.eval_flags(opt::o0_flags()), sim::TrapError);
+  EXPECT_EQ(eval.cache_hits(), 1u);
 }
 
 TEST(EvaluatorResults, OptimizationNeverBreaksProgram) {

@@ -3,15 +3,19 @@
 // RNG is consumed only on the calling thread; results commit in
 // submission order), and the evaluator's single-flight memo cache must
 // run exactly one simulation per unique fingerprint even under a
-// concurrent burst of identical candidates.
+// concurrent burst of identical candidates. The sequence index in front
+// of that memo must change neither: traces and simulation counts match a
+// memo-off run at every worker count.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "ir/fingerprint.hpp"
 #include "search/seedbank.hpp"
 #include "search/strategies.hpp"
+#include "sim/program_cache.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -248,6 +252,113 @@ TEST(EvaluatorStampede, DistinctFingerprintsSimulateIndependently) {
   eval.eval_sequence(b);
   EXPECT_EQ(eval.simulations(), 2u);
   EXPECT_EQ(eval.cache_hits(), 2u);
+}
+
+// --- sequence index ---------------------------------------------------------
+
+/// The fixed-seed GA or random search every memo run repeats.
+search::SearchTrace fixed_seed_search(bool genetic, unsigned workers,
+                                      search::Evaluator& eval) {
+  const search::SequenceSpace space;
+  if (genetic) {
+    support::Rng rng(2008);
+    search::GaParams params;
+    params.workers = workers;
+    return search::genetic_search(eval, space, rng, 120,
+                                  search::Objective::Cycles, params);
+  }
+  support::Rng rng(7);
+  return search::random_search(eval, space, rng, 60,
+                               search::Objective::Cycles, workers);
+}
+
+struct MemoRun {
+  search::SearchTrace trace;
+  std::size_t simulations = 0;
+  std::size_t cache_hits = 0;
+  std::size_t sequence_hits = 0;
+  /// Programs decoded: with a cold program cache, the number of distinct
+  /// optimized modules the search simulated.
+  std::uint64_t decodes = 0;
+};
+
+MemoRun run_with_memo(bool memo, bool genetic, unsigned workers) {
+  sim::ProgramCache& programs = sim::ProgramCache::instance();
+  programs.clear();
+  const std::uint64_t misses = programs.misses();
+  search::Evaluator eval = make_eval();
+  eval.set_cache_enabled(memo);
+  MemoRun out;
+  out.trace = fixed_seed_search(genetic, workers, eval);
+  out.simulations = eval.simulations();
+  out.cache_hits = eval.cache_hits();
+  out.sequence_hits = eval.sequence_hits();
+  out.decodes = programs.misses() - misses;
+  return out;
+}
+
+// With the memo on, every distinct optimized module simulates exactly once
+// (the count a memo-off run decodes) and every other evaluation is a cache
+// hit; with it off, every evaluation simulates. Either way the trace is
+// the memo-off sequential trace, at every worker count.
+TEST(SequenceMemo, TracesAndSimulationsMatchMemoOffAtEveryWidth) {
+  for (const bool genetic : {true, false}) {
+    const MemoRun reference = run_with_memo(false, genetic, 1);
+    ASSERT_EQ(reference.simulations, reference.trace.evaluations);
+
+    for (const bool memo : {true, false}) {
+      for (const unsigned workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::string(genetic ? "genetic" : "random") +
+                     (memo ? " memo on" : " memo off") +
+                     " workers=" + std::to_string(workers));
+        const MemoRun run = run_with_memo(memo, genetic, workers);
+        expect_same_trace(run.trace, reference.trace);
+        EXPECT_EQ(run.simulations + run.cache_hits, run.trace.evaluations);
+        EXPECT_EQ(run.decodes, reference.decodes);
+        if (memo) {
+          EXPECT_EQ(run.simulations, reference.decodes);
+        } else {
+          EXPECT_EQ(run.simulations, run.trace.evaluations);
+          EXPECT_EQ(run.cache_hits, 0u);
+          EXPECT_EQ(run.sequence_hits, 0u);
+        }
+        if (memo && genetic && workers == 1) {
+          // The GA re-breeds sequences it has already scored.
+          EXPECT_GT(run.sequence_hits, 0u);
+        }
+      }
+    }
+  }
+}
+
+// A burst of workers on a candidate that traps: each one throws, none
+// leaves an entry behind, and the next evaluation throws again.
+TEST(SequenceMemo, TrappingCandidateThrowsForEveryConcurrentCaller) {
+  const wl::Workload w = wl::make_workload("dotprod");
+  sim::MachineConfig cfg = sim::amd_like();
+  cfg.max_instructions =
+      search::Evaluator(w.module, cfg).eval_sequence({}).instructions / 2;
+  search::Evaluator eval(w.module, cfg);
+
+  constexpr unsigned kThreads = 8;
+  std::atomic<unsigned> traps{0};
+  {
+    std::vector<std::thread> burst;
+    burst.reserve(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t)
+      burst.emplace_back([&] {
+        try {
+          eval.eval_sequence({});
+        } catch (const sim::TrapError&) {
+          traps.fetch_add(1);
+        }
+      });
+    for (auto& th : burst) th.join();
+  }
+  EXPECT_EQ(traps.load(), kThreads);
+  EXPECT_EQ(eval.simulations(), 0u);
+  EXPECT_EQ(eval.cache_hits(), 0u);
+  EXPECT_THROW(eval.eval_sequence({}), sim::TrapError);
 }
 
 TEST(EvaluatorStampede, CacheDisabledSimulatesEveryCall) {

@@ -305,6 +305,47 @@ TEST(Svc, MetricsConsistentAfterConcurrentBurst) {
   EXPECT_GT(m.simulations, 0u);
 }
 
+// Protocol lines take the path every transport gives them: parse, then
+// submit what parsed. A wrapped budget used to run a budget-0 search whose
+// -O0 answer was stored in the KB and then served warm, config="", to
+// every later request for the program.
+TEST(Svc, OutOfRangeBudgetNeverReachesTheKb) {
+  svc::TuningService service{svc::TuningService::Options{}};
+  for (const char* line :
+       {"tune crc32 budget=4294967296", "tune crc32 budget=4294967297"}) {
+    const svc::Command c = svc::parse_command(line);
+    EXPECT_EQ(c.kind, svc::Command::Kind::Invalid) << line;
+    if (c.kind == svc::Command::Kind::Tune) service.tune(c.request);
+  }
+  EXPECT_EQ(service.kb_size(), 0u);
+
+  const svc::Command plain = svc::parse_command("tune crc32");
+  ASSERT_EQ(plain.kind, svc::Command::Kind::Tune);
+  const svc::TuningResponse r = service.tune(plain.request);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.source, svc::Source::Search);
+  EXPECT_FALSE(r.config.empty());
+  EXPECT_GT(r.speedup, 1.0);
+}
+
+// A timeout the steady clock cannot represent used to overflow
+// submit time + timeout and time the request out before any search;
+// now it means no deadline.
+TEST(Svc, TimeoutBeyondTheClockRangeMeansNoDeadline) {
+  for (const std::string v :
+       {"18446744073709551615", "9223372036854775807", "9300000000000"}) {
+    SCOPED_TRACE(v);
+    const svc::Command c =
+        svc::parse_command("tune fir budget=4 timeout_ms=" + v);
+    ASSERT_EQ(c.kind, svc::Command::Kind::Tune);
+    svc::TuningService service{svc::TuningService::Options{}};
+    const svc::TuningResponse r = service.tune(c.request);
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.source, svc::Source::Search);
+    EXPECT_EQ(service.metrics().timed_out, 0u);
+  }
+}
+
 TEST(Svc, UnknownProgramYieldsErrorResponseNotThrow) {
   svc::TuningService service({.workers = 1});
   const svc::TuningResponse r = service.tune(request("no-such-workload"));
@@ -688,6 +729,21 @@ TEST(SvcProtocol, ParsesTimeoutMs) {
   EXPECT_EQ(c.request.timeout_ms, 250u);
   EXPECT_EQ(svc::parse_command("tune fir timeout_ms=soon").kind,
             svc::Command::Kind::Invalid);
+}
+
+// A budget is an unsigned evaluation count: a value past its range is
+// refused at parse time instead of wrapping (4294967296 used to run as a
+// budget-0 search, 4294967297 as budget 1).
+TEST(SvcProtocol, RejectsBudgetBeyondUnsignedRange) {
+  const svc::Command max = svc::parse_command("tune crc32 budget=4294967295");
+  ASSERT_EQ(max.kind, svc::Command::Kind::Tune);
+  EXPECT_EQ(max.request.budget, 4294967295u);
+  for (const std::string v :
+       {"4294967296", "4294967297", "18446744073709551616"}) {
+    const svc::Command c = svc::parse_command("tune crc32 budget=" + v);
+    EXPECT_EQ(c.kind, svc::Command::Kind::Invalid) << v;
+    EXPECT_EQ(c.error, "tune: bad budget '" + v + "'");
+  }
 }
 
 TEST(SvcProtocol, ParsesParetoObjectiveAndSeeding) {
