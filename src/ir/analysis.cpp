@@ -1,6 +1,7 @@
 #include "ir/analysis.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "support/assert.hpp"
 
@@ -19,19 +20,55 @@ bool RegSet::merge(const RegSet& other) {
   return changed;
 }
 
+bool RegSet::merge_difference(const RegSet& other, const RegSet& minus) {
+  ILC_ASSERT(bits_.size() == other.bits_.size() &&
+             bits_.size() == minus.bits_.size());
+  std::uint64_t grew = 0;
+  for (std::size_t i = 0; i < bits_.size(); ++i) {
+    const std::uint64_t add = other.bits_[i] & ~minus.bits_[i] & ~bits_[i];
+    bits_[i] |= add;
+    grew |= add;
+  }
+  return grew != 0;
+}
+
 std::size_t RegSet::count() const {
   std::size_t n = 0;
   for (std::uint64_t w : bits_) n += static_cast<std::size_t>(__builtin_popcountll(w));
   return n;
 }
 
+namespace {
+
+/// A block's successors, read from its terminator without allocating.
+struct Successors {
+  std::array<BlockId, 2> ids{kNoBlock, kNoBlock};
+  unsigned n = 0;
+};
+
+Successors successors_of(const BasicBlock& bb) {
+  const Instr& t = bb.terminator();
+  switch (t.op) {
+    case Opcode::Jump:
+      return {{t.t1, kNoBlock}, 1};
+    case Opcode::Br:
+      return {{t.t1, t.t2}, 2};
+    default:  // Ret
+      return {};
+  }
+}
+
+}  // namespace
+
 Cfg::Cfg(const Function& fn) {
   const std::size_t n = fn.blocks.size();
   succs.resize(n);
   preds.resize(n);
   for (std::size_t b = 0; b < n; ++b) {
-    succs[b] = fn.blocks[b].successors();
-    for (BlockId s : succs[b]) preds[s].push_back(static_cast<BlockId>(b));
+    const Successors s = successors_of(fn.blocks[b]);
+    succs[b].assign(s.ids.begin(), s.ids.begin() + s.n);
+    for (unsigned i = 0; i < s.n; ++i)
+      preds[s.ids[i]].push_back(static_cast<BlockId>(b));
   }
 }
 
@@ -42,14 +79,14 @@ std::vector<BlockId> reverse_post_order(const Function& fn) {
   post.reserve(n);
 
   // Iterative DFS with explicit stack of (block, next-successor-index).
-  std::vector<std::pair<BlockId, std::size_t>> stack;
+  std::vector<std::pair<BlockId, unsigned>> stack;
   stack.emplace_back(0, 0);
   state[0] = 1;
   while (!stack.empty()) {
     auto& [b, next] = stack.back();
-    const auto succ = fn.blocks[b].successors();
-    if (next < succ.size()) {
-      const BlockId s = succ[next++];
+    const Successors succ = successors_of(fn.blocks[b]);
+    if (next < succ.n) {
+      const BlockId s = succ.ids[next++];
       if (state[s] == 0) {
         state[s] = 1;
         stack.emplace_back(s, 0);
@@ -172,8 +209,11 @@ std::vector<Loop> find_loops(const Function& fn) {
 
 Liveness compute_liveness(const Function& fn, const Cfg& cfg) {
   const std::size_t n = fn.blocks.size();
-  // Per-block gen (upward-exposed uses) and kill (definitions).
-  std::vector<RegSet> gen(n, RegSet(fn.num_regs));
+  Liveness lv;
+  lv.live_in.assign(n, RegSet(fn.num_regs));
+  lv.live_out.assign(n, RegSet(fn.num_regs));
+  // Per-block kill (definitions). gen (upward-exposed uses) goes straight
+  // into live_in, which contains it in every solution.
   std::vector<RegSet> kill(n, RegSet(fn.num_regs));
   for (std::size_t b = 0; b < n; ++b) {
     for (const Instr& inst : fn.blocks[b].insts) {
@@ -181,33 +221,21 @@ Liveness compute_liveness(const Function& fn, const Cfg& cfg) {
       unsigned nu = 0;
       append_uses(inst, uses, nu);
       for (unsigned u = 0; u < nu; ++u)
-        if (!kill[b].contains(uses[u])) gen[b].insert(uses[u]);
+        if (!kill[b].contains(uses[u])) lv.live_in[b].insert(uses[u]);
       if (has_dst(inst)) kill[b].insert(inst.dst);
     }
   }
 
-  Liveness lv;
-  lv.live_in.assign(n, RegSet(fn.num_regs));
-  lv.live_out.assign(n, RegSet(fn.num_regs));
-
+  // out = ∪ in[succ], in = gen ∪ (out − kill). Every set starts below the
+  // least solution and only grows, so each is updated in place and the
+  // sweep stops at exactly that solution.
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t bi = n; bi-- > 0;) {
-      RegSet out(fn.num_regs);
-      for (BlockId s : cfg.succs[bi]) out.merge(lv.live_in[s]);
-      if (!(out == lv.live_out[bi])) {
-        lv.live_out[bi] = out;
-        changed = true;
-      }
-      // in = gen ∪ (out − kill)
-      RegSet in = gen[bi];
-      for (Reg r = 0; r < fn.num_regs; ++r)
-        if (out.contains(r) && !kill[bi].contains(r)) in.insert(r);
-      if (!(in == lv.live_in[bi])) {
-        lv.live_in[bi] = in;
-        changed = true;
-      }
+      for (BlockId s : cfg.succs[bi])
+        changed |= lv.live_out[bi].merge(lv.live_in[s]);
+      changed |= lv.live_in[bi].merge_difference(lv.live_out[bi], kill[bi]);
     }
   }
   return lv;

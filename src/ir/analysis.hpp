@@ -11,10 +11,12 @@
 
 namespace ilc::ir {
 
-/// Dynamic bitset over virtual registers.
+/// Dynamic bitset over virtual registers. Set operations work a 64-bit
+/// word at a time; both operands must have the same size.
 class RegSet {
  public:
-  explicit RegSet(unsigned num_regs = 0) : bits_((num_regs + 63) / 64, 0) {}
+  explicit RegSet(unsigned num_regs = 0)
+      : bits_((std::size_t{num_regs} + 63) / 64, 0) {}
 
   void insert(Reg r) { bits_[r >> 6] |= 1ULL << (r & 63); }
   void erase(Reg r) { bits_[r >> 6] &= ~(1ULL << (r & 63)); }
@@ -22,6 +24,8 @@ class RegSet {
 
   /// this |= other; returns true if this changed.
   bool merge(const RegSet& other);
+  /// this |= (other − minus); returns true if this changed.
+  bool merge_difference(const RegSet& other, const RegSet& minus);
   bool operator==(const RegSet&) const = default;
 
   std::size_t count() const;

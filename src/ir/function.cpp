@@ -18,20 +18,6 @@ Instr& BasicBlock::terminator() {
   return insts.back();
 }
 
-std::vector<BlockId> BasicBlock::successors() const {
-  const Instr& t = terminator();
-  switch (t.op) {
-    case Opcode::Jump:
-      return {t.t1};
-    case Opcode::Br:
-      return {t.t1, t.t2};
-    case Opcode::Ret:
-      return {};
-    default:
-      ILC_UNREACHABLE("bad terminator");
-  }
-}
-
 BlockId Function::new_block() {
   blocks.emplace_back();
   return static_cast<BlockId>(blocks.size() - 1);

@@ -15,9 +15,6 @@ struct BasicBlock {
   const Instr& terminator() const;
   Instr& terminator();
   bool has_terminator() const;
-
-  /// Successor block ids of the terminator (0, 1, or 2 entries).
-  std::vector<BlockId> successors() const;
 };
 
 /// A function: arguments arrive in registers r0..r(num_args-1); entry is

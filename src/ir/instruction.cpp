@@ -83,116 +83,6 @@ RecordLayout layout_record(const RecordType& type, unsigned ptr_bytes) {
   return lay;
 }
 
-bool is_terminator(const Instr& inst) {
-  return inst.op == Opcode::Jump || inst.op == Opcode::Br ||
-         inst.op == Opcode::Ret;
-}
-
-bool has_dst(const Instr& inst) {
-  switch (inst.op) {
-    case Opcode::Store:
-    case Opcode::Prefetch:
-    case Opcode::Jump:
-    case Opcode::Br:
-    case Opcode::Ret:
-    case Opcode::Nop:
-      return false;
-    case Opcode::Call:
-      return inst.dst != kNoReg;
-    default:
-      return true;
-  }
-}
-
-unsigned num_srcs(const Instr& inst) {
-  switch (inst.op) {
-    case Opcode::Nop:
-    case Opcode::LoadImm:
-    case Opcode::GlobalAddr:
-    case Opcode::FrameAddr:
-    case Opcode::Jump:
-      return 0;
-    case Opcode::Mov:
-    case Opcode::Neg:
-    case Opcode::Not:
-    case Opcode::Load:
-    case Opcode::Prefetch:
-    case Opcode::Br:
-      return 1;
-    case Opcode::Ret:
-      return inst.a == kNoReg ? 0 : 1;
-    case Opcode::Call:
-      return 0;  // call args handled separately
-    default:
-      return 2;
-  }
-}
-
-std::array<Reg, 2> srcs(const Instr& inst) {
-  std::array<Reg, 2> out{kNoReg, kNoReg};
-  const unsigned n = num_srcs(inst);
-  if (n >= 1) out[0] = inst.a;
-  if (n >= 2) out[1] = inst.b;
-  // Store reads both its address (a) and value (b) registers.
-  if (inst.op == Opcode::Store) {
-    out[0] = inst.a;
-    out[1] = inst.b;
-  }
-  return out;
-}
-
-void append_uses(const Instr& inst, std::array<Reg, 2 + kMaxCallArgs>& out,
-                 unsigned& n) {
-  n = 0;
-  if (inst.op == Opcode::Store) {
-    out[n++] = inst.a;
-    out[n++] = inst.b;
-    return;
-  }
-  const unsigned k = num_srcs(inst);
-  if (k >= 1 && inst.a != kNoReg) out[n++] = inst.a;
-  if (k >= 2 && inst.b != kNoReg) out[n++] = inst.b;
-  if (inst.op == Opcode::Call) {
-    for (unsigned i = 0; i < inst.nargs; ++i) out[n++] = inst.args[i];
-  }
-}
-
-bool is_pure(const Instr& inst) {
-  switch (inst.op) {
-    case Opcode::Mov:
-    case Opcode::LoadImm:
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Rem:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::Min:
-    case Opcode::Max:
-    case Opcode::Neg:
-    case Opcode::Not:
-    case Opcode::CmpEq:
-    case Opcode::CmpNe:
-    case Opcode::CmpLt:
-    case Opcode::CmpLe:
-    case Opcode::CmpGt:
-    case Opcode::CmpGe:
-    case Opcode::GlobalAddr:
-    case Opcode::FrameAddr:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool reads_memory(const Instr& inst) { return inst.op == Opcode::Load; }
-
-bool writes_memory(const Instr& inst) { return inst.op == Opcode::Store; }
-
 bool is_commutative(Opcode op) {
   switch (op) {
     case Opcode::Add:

@@ -37,29 +37,116 @@ struct Instr {
   bool operator==(const Instr&) const = default;
 };
 
+// The predicates below run for every instruction of every pass and
+// analysis, so they are defined here, inline.
+
 /// True for Jump/Br/Ret — the only instructions allowed (and required)
 /// at the end of a basic block.
-bool is_terminator(const Instr& inst);
+inline bool is_terminator(const Instr& inst) {
+  return inst.op == Opcode::Jump || inst.op == Opcode::Br ||
+         inst.op == Opcode::Ret;
+}
 
 /// True if the instruction writes a register (dst is meaningful).
-bool has_dst(const Instr& inst);
+inline bool has_dst(const Instr& inst) {
+  switch (inst.op) {
+    case Opcode::Store:
+    case Opcode::Prefetch:
+    case Opcode::Jump:
+    case Opcode::Br:
+    case Opcode::Ret:
+    case Opcode::Nop:
+      return false;
+    case Opcode::Call:
+      return inst.dst != kNoReg;
+    default:
+      return true;
+  }
+}
 
-/// Number of register sources and their values (excluding call args).
-unsigned num_srcs(const Instr& inst);
-std::array<Reg, 2> srcs(const Instr& inst);
+/// Number of register sources (excluding call args).
+inline unsigned num_srcs(const Instr& inst) {
+  switch (inst.op) {
+    case Opcode::Nop:
+    case Opcode::LoadImm:
+    case Opcode::GlobalAddr:
+    case Opcode::FrameAddr:
+    case Opcode::Jump:
+      return 0;
+    case Opcode::Mov:
+    case Opcode::Neg:
+    case Opcode::Not:
+    case Opcode::Load:
+    case Opcode::Prefetch:
+    case Opcode::Br:
+      return 1;
+    case Opcode::Ret:
+      return inst.a == kNoReg ? 0 : 1;
+    case Opcode::Call:
+      return 0;  // call args handled separately
+    default:
+      return 2;
+  }
+}
 
 /// Register sources including call arguments, appended to `out`.
-void append_uses(const Instr& inst, std::array<Reg, 2 + kMaxCallArgs>& out,
-                 unsigned& n);
+inline void append_uses(const Instr& inst,
+                        std::array<Reg, 2 + kMaxCallArgs>& out, unsigned& n) {
+  n = 0;
+  if (inst.op == Opcode::Store) {
+    out[n++] = inst.a;
+    out[n++] = inst.b;
+    return;
+  }
+  const unsigned k = num_srcs(inst);
+  if (k >= 1 && inst.a != kNoReg) out[n++] = inst.a;
+  if (k >= 2 && inst.b != kNoReg) out[n++] = inst.b;
+  if (inst.op == Opcode::Call) {
+    for (unsigned i = 0; i < inst.nargs; ++i) out[n++] = inst.args[i];
+  }
+}
 
 /// True if the instruction has no side effects and its result depends only
 /// on its register sources (legal to remove when dead, to CSE, to hoist).
 /// Loads are NOT pure (memory may change); Div/Rem are pure here because
 /// the interpreter defines division by zero (yields 0 / leaves a).
-bool is_pure(const Instr& inst);
+inline bool is_pure(const Instr& inst) {
+  switch (inst.op) {
+    case Opcode::Mov:
+    case Opcode::LoadImm:
+    case Opcode::Add:
+    case Opcode::Sub:
+    case Opcode::Mul:
+    case Opcode::Div:
+    case Opcode::Rem:
+    case Opcode::And:
+    case Opcode::Or:
+    case Opcode::Xor:
+    case Opcode::Shl:
+    case Opcode::Shr:
+    case Opcode::Min:
+    case Opcode::Max:
+    case Opcode::Neg:
+    case Opcode::Not:
+    case Opcode::CmpEq:
+    case Opcode::CmpNe:
+    case Opcode::CmpLt:
+    case Opcode::CmpLe:
+    case Opcode::CmpGt:
+    case Opcode::CmpGe:
+    case Opcode::GlobalAddr:
+    case Opcode::FrameAddr:
+      return true;
+    default:
+      return false;
+  }
+}
 
-bool reads_memory(const Instr& inst);
-bool writes_memory(const Instr& inst);
+inline bool reads_memory(const Instr& inst) { return inst.op == Opcode::Load; }
+
+inline bool writes_memory(const Instr& inst) {
+  return inst.op == Opcode::Store;
+}
 
 /// True for binary ops where operand order does not matter.
 bool is_commutative(Opcode op);

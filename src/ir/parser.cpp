@@ -1,6 +1,7 @@
 #include "ir/parser.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "support/assert.hpp"
@@ -50,14 +51,23 @@ class LineParser {
     return pos_ >= s_.size();
   }
 
-  std::int64_t integer() {
+  /// A decimal integer that must fit the field's type T: a value out of
+  /// T's range is an error, never truncated or wrapped.
+  template <typename T>
+  T integer() {
     skip_ws();
-    std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
+    if (pos_ < s_.size() && s_[pos_] == '+') ++pos_;
+    const std::size_t start = pos_;
+    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
+    const std::size_t digits = pos_;
     while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_])))
       ++pos_;
-    if (pos_ == start) fail("expected integer");
-    return std::strtoll(s_.substr(start, pos_ - start).c_str(), nullptr, 10);
+    if (pos_ == digits) fail("expected integer");
+    T value{};
+    const char* end = s_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(s_.data() + start, end, value);
+    if (ec != std::errc() || ptr != end) fail("integer out of range");
+    return value;
   }
 
   std::string word() {
@@ -76,12 +86,12 @@ class LineParser {
     skip_ws();
     if (eat("_")) return kNoReg;
     expect("r");
-    return static_cast<Reg>(integer());
+    return integer<Reg>();
   }
 
   BlockId block() {
     expect("bb");
-    return static_cast<BlockId>(integer());
+    return integer<BlockId>();
   }
 
  private:
@@ -104,13 +114,13 @@ FieldKind field_kind_from(const std::string& name, LineParser& lp) {
 void parse_annotation(LineParser& lp, Instr& inst) {
   if (lp.eat("!field(rec")) {
     inst.tag = ImmTag::FieldOffset;
-    inst.rec = static_cast<RecordId>(lp.integer());
+    inst.rec = lp.integer<RecordId>();
     lp.expect(".");
-    inst.field = static_cast<FieldId>(lp.integer());
+    inst.field = lp.integer<FieldId>();
     lp.expect(")");
   } else if (lp.eat("!stride(rec")) {
     inst.tag = ImmTag::RecordStride;
-    inst.rec = static_cast<RecordId>(lp.integer());
+    inst.rec = lp.integer<RecordId>();
     lp.expect(")");
   } else if (lp.eat("!ptrwidth")) {
     inst.tag = ImmTag::PtrWidth;
@@ -172,18 +182,18 @@ Instr parse_instr(const std::string& line, std::size_t line_no) {
     lp.expect("[");
     inst.a = lp.reg();
     lp.expect("+");
-    inst.imm = lp.integer();
+    inst.imm = lp.integer<std::int64_t>();
     lp.expect("]");
     return inst;
   }
   if (lp.eat("store.")) {
     inst.op = Opcode::Store;
-    inst.width = parse_width(lp.integer(), lp);
+    inst.width = parse_width(lp.integer<std::int64_t>(), lp);
     if (lp.eat("p")) inst.is_ptr = true;
     lp.expect("[");
     inst.a = lp.reg();
     lp.expect("+");
-    inst.imm = lp.integer();
+    inst.imm = lp.integer<std::int64_t>();
     lp.expect("]");
     lp.expect(",");
     inst.b = lp.reg();
@@ -194,7 +204,7 @@ Instr parse_instr(const std::string& line, std::size_t line_no) {
     inst.op = Opcode::Call;
     inst.dst = kNoReg;
     lp.expect("@");
-    inst.callee = static_cast<FuncId>(lp.integer());
+    inst.callee = lp.integer<FuncId>();
     lp.expect("(");
     while (!lp.eat(")")) {
       if (inst.nargs > 0) lp.expect(",");
@@ -210,30 +220,30 @@ Instr parse_instr(const std::string& line, std::size_t line_no) {
 
   if (lp.eat("imm ")) {
     inst.op = Opcode::LoadImm;
-    inst.imm = lp.integer();
+    inst.imm = lp.integer<std::int64_t>();
     parse_annotation(lp, inst);
     return inst;
   }
   if (lp.eat("gaddr ")) {
     inst.op = Opcode::GlobalAddr;
     lp.expect("@");
-    inst.gid = static_cast<GlobalId>(lp.integer());
+    inst.gid = lp.integer<GlobalId>();
     return inst;
   }
   if (lp.eat("faddr ")) {
     inst.op = Opcode::FrameAddr;
     lp.expect("+");
-    inst.imm = lp.integer();
+    inst.imm = lp.integer<std::int64_t>();
     return inst;
   }
   if (lp.eat("load.")) {
     inst.op = Opcode::Load;
-    inst.width = parse_width(lp.integer(), lp);
+    inst.width = parse_width(lp.integer<std::int64_t>(), lp);
     if (lp.eat("p")) inst.is_ptr = true;
     lp.expect("[");
     inst.a = lp.reg();
     lp.expect("+");
-    inst.imm = lp.integer();
+    inst.imm = lp.integer<std::int64_t>();
     lp.expect("]");
     parse_annotation(lp, inst);
     return inst;
@@ -241,7 +251,7 @@ Instr parse_instr(const std::string& line, std::size_t line_no) {
   if (lp.eat("call ")) {
     inst.op = Opcode::Call;
     lp.expect("@");
-    inst.callee = static_cast<FuncId>(lp.integer());
+    inst.callee = lp.integer<FuncId>();
     lp.expect("(");
     while (!lp.eat(")")) {
       if (inst.nargs > 0) lp.expect(",");
@@ -288,13 +298,13 @@ Module parse_module(const std::string& text) {
         mod.name = lp.word();
         lp.expect("ptr=");
       }
-      mod.set_ptr_bytes(static_cast<unsigned>(lp.integer()));
+      mod.set_ptr_bytes(lp.integer<unsigned>());
       continue;
     }
     if (starts_with(line, "record ")) {
       lp.expect("record");
       lp.expect("rec");
-      lp.integer();  // id: sequential, implied
+      lp.integer<RecordId>();  // id: sequential, implied
       RecordType rec;
       rec.name = lp.word();
       lp.expect("{");
@@ -312,21 +322,21 @@ Module parse_module(const std::string& text) {
     if (starts_with(line, "global ")) {
       lp.expect("global");
       lp.expect("@");
-      lp.integer();  // id: sequential, implied
+      lp.integer<GlobalId>();  // id: sequential, implied
       Global g;
       g.name = lp.word();
       lp.expect("count=");
-      g.count = static_cast<std::uint64_t>(lp.integer());
+      g.count = lp.integer<std::uint64_t>();
       if (lp.eat("record=rec")) {
         g.kind = GlobalKind::RecordArray;
-        g.record = static_cast<RecordId>(lp.integer());
+        g.record = lp.integer<RecordId>();
       } else {
         lp.expect("width=");
-        const std::int64_t width = lp.integer();
+        const auto width = lp.integer<std::uint8_t>();
         if (lp.eat("ptr")) {
           g.elem_is_ptr = true;
         } else {
-          g.elem_width = static_cast<std::uint8_t>(width);
+          g.elem_width = width;
         }
       }
       mod.add_global(std::move(g));
@@ -338,12 +348,12 @@ Module parse_module(const std::string& text) {
       Function f;
       f.name = lp.word();
       lp.expect("(");
-      f.num_args = static_cast<unsigned>(lp.integer());
+      f.num_args = lp.integer<unsigned>();
       lp.expect(")");
       lp.expect("regs=");
-      f.num_regs = static_cast<unsigned>(lp.integer());
+      f.num_regs = lp.integer<unsigned>();
       lp.expect("frame=");
-      f.frame_size = static_cast<unsigned>(lp.integer());
+      f.frame_size = lp.integer<unsigned>();
       lp.expect("{");
       mod.add_function(std::move(f));
       fn = &mod.functions().back();

@@ -15,6 +15,7 @@ class Checker {
 
   std::string run() {
     if (fn_.blocks.empty()) return fail(0, 0, "function has no blocks");
+    if (fn_.num_regs > kMaxRegs) return fail(0, 0, "too many registers");
     if (fn_.num_args > fn_.num_regs)
       return fail(0, 0, "num_args exceeds num_regs");
     for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {

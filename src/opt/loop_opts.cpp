@@ -31,18 +31,19 @@ std::vector<unsigned> def_counts_in(const Function& fn, const Loop& loop) {
   return defs;
 }
 
-bool used_outside_loop(const Function& fn, const Loop& loop, Reg r) {
+/// Registers read by some block outside the loop.
+RegSet used_outside_loop(const Function& fn, const Loop& loop) {
+  RegSet used(fn.num_regs);
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
     if (loop.contains(static_cast<BlockId>(b))) continue;
     for (const Instr& inst : fn.blocks[b].insts) {
       std::array<Reg, 2 + kMaxCallArgs> uses;
       unsigned n = 0;
       append_uses(inst, uses, n);
-      for (unsigned u = 0; u < n; ++u)
-        if (uses[u] == r) return true;
+      for (unsigned u = 0; u < n; ++u) used.insert(uses[u]);
     }
   }
-  return false;
+  return used;
 }
 
 /// Ensure the loop header has a unique out-of-loop predecessor ending in a
@@ -80,10 +81,15 @@ BlockId ensure_preheader(Function& fn, const Loop& loop) {
 
 bool licm(Function& fn) {
   bool changed = false;
-  // Loops are recomputed after each hoisted loop because preheader
-  // creation adds blocks.
+  // Loops are recomputed after a preheader is created: that is the only
+  // CFG change here, and it always adds a block.
+  std::vector<Loop> loops = find_loops(fn);
+  std::size_t loops_found_at = fn.blocks.size();
   for (std::size_t li = 0;; ++li) {
-    const auto loops = find_loops(fn);
+    if (fn.blocks.size() != loops_found_at) {
+      loops = find_loops(fn);
+      loops_found_at = fn.blocks.size();
+    }
     if (li >= loops.size()) break;
     const Loop& loop = loops[li];
 
@@ -93,6 +99,11 @@ bool licm(Function& fn) {
     std::vector<unsigned> defs = def_counts_in(fn, loop);
     const Cfg cfg(fn);
     const Liveness lv = compute_liveness(fn, cfg);
+    // Condition (e) for every candidate of this loop. Hoists add outside
+    // uses only of their sources, which have no in-loop definition, and
+    // in-loop definition counts never grow; so every register the set
+    // misses fails the `defs[dst] == 1` check anyway.
+    const RegSet outside = used_outside_loop(fn, loop);
 
     bool hoisted_any = true;
     while (hoisted_any) {
@@ -112,7 +123,7 @@ bool licm(Function& fn) {
           if (!srcs_invariant) continue;
           if (defs[inst.dst] != 1) continue;
           if (lv.live_in[loop.header].contains(inst.dst)) continue;
-          if (used_outside_loop(fn, loop, inst.dst)) continue;
+          if (outside.contains(inst.dst)) continue;
 
           // Hoist: insert before the preheader's terminator.
           BasicBlock& ph = fn.blocks[pre];

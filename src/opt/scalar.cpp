@@ -40,9 +40,10 @@ Lattice meet(const Lattice& a, const Lattice& b) {
   return a.value == b.value ? a : Lattice::bot();
 }
 
+/// One lattice value per register.
 using State = std::vector<Lattice>;
 
-void transfer(const Instr& inst, State& state) {
+void transfer(const Instr& inst, Lattice* state) {
   if (!has_dst(inst)) return;
   Lattice out = Lattice::bot();
   switch (inst.op) {
@@ -78,50 +79,74 @@ void transfer(const Instr& inst, State& state) {
 
 }  // namespace
 
+// The dataflow sweeps the reachable blocks round-robin in reverse
+// post-order until no state changes, and that order is part of the
+// result: `transfer` is not monotone in Top operands (a fold with one Top
+// operand gives Bot, while two constants give a constant), so a worklist
+// order could settle on a different fixpoint. What the sweep may skip is
+// a block none of whose predecessors' out-states changed since its last
+// visit: revisiting it would recompute the same in- and out-state.
 bool const_prop(Function& fn, Module& mod) {
   (void)mod;
+  const std::size_t n = fn.blocks.size();
+  const std::size_t nr = fn.num_regs;
   const Cfg cfg(fn);
   const auto rpo = reverse_post_order(fn);
-  std::vector<std::uint8_t> reachable(fn.blocks.size(), 0);
+  std::vector<std::uint8_t> reachable(n, 0);
   for (BlockId b : rpo) reachable[b] = 1;
 
-  std::vector<State> in(fn.blocks.size(), State(fn.num_regs));
-  std::vector<State> out(fn.blocks.size(), State(fn.num_regs));
+  // Block b's in- and out-state are rows b of these two tables.
+  State in(n * nr), out(n * nr);
+  auto in_of = [&](BlockId b) { return in.data() + b * nr; };
+  auto out_of = [&](BlockId b) { return out.data() + b * nr; };
   // Function arguments are unknown at entry.
-  for (unsigned a = 0; a < fn.num_args; ++a) in[0][a] = Lattice::bot();
+  for (unsigned a = 0; a < fn.num_args; ++a) in[a] = Lattice::bot();
 
+  std::vector<std::uint8_t> dirty(n, 1);  // a predecessor's out changed
+  State st(nr);  // scratch, reused by every visit
   bool changed_state = true;
   while (changed_state) {
     changed_state = false;
     for (BlockId b : rpo) {
-      State st(fn.num_regs);
+      if (!dirty[b]) continue;
+      dirty[b] = 0;
       if (b == 0) {
-        st = in[0];
+        std::copy(in_of(0), in_of(0) + nr, st.begin());
       } else {
+        // meet(Top, x) == x, so the first reachable predecessor is copied.
+        bool first = true;
         for (BlockId p : cfg.preds[b]) {
           if (!reachable[p]) continue;
-          for (Reg r = 0; r < fn.num_regs; ++r) st[r] = meet(st[r], out[p][r]);
+          const Lattice* po = out_of(p);
+          if (first) {
+            std::copy(po, po + nr, st.begin());
+            first = false;
+          } else {
+            for (std::size_t r = 0; r < nr; ++r) st[r] = meet(st[r], po[r]);
+          }
         }
+        if (first) std::fill(st.begin(), st.end(), Lattice::top());
       }
-      if (st != in[b]) {
-        in[b] = st;
+      if (!std::equal(st.begin(), st.end(), in_of(b))) {
+        std::copy(st.begin(), st.end(), in_of(b));
         changed_state = true;
       }
-      for (const Instr& inst : fn.blocks[b].insts) transfer(inst, st);
-      if (st != out[b]) {
-        out[b] = st;
+      for (const Instr& inst : fn.blocks[b].insts) transfer(inst, st.data());
+      if (!std::equal(st.begin(), st.end(), out_of(b))) {
+        std::copy(st.begin(), st.end(), out_of(b));
         changed_state = true;
+        for (BlockId s : cfg.succs[b]) dirty[s] = 1;
       }
     }
   }
 
-  // Rewrite: materialize constants, fold constant branches.
+  // Rewrite: materialize constants, fold constant branches. A Br writes
+  // no register, so at a Br `st` still holds the state before it.
   bool changed = false;
   for (BlockId b : rpo) {
-    State st = in[b];
+    std::copy(in_of(b), in_of(b) + nr, st.begin());
     for (Instr& inst : fn.blocks[b].insts) {
-      State before = st;
-      transfer(inst, st);
+      transfer(inst, st.data());
       if (has_dst(inst) && is_pure(inst) && inst.op != Opcode::LoadImm &&
           st[inst.dst].kind == Lattice::Const) {
         Instr repl;
@@ -130,9 +155,8 @@ bool const_prop(Function& fn, Module& mod) {
         repl.imm = st[inst.dst].value;
         inst = repl;
         changed = true;
-      } else if (inst.op == Opcode::Br &&
-                 before[inst.a].kind == Lattice::Const) {
-        const BlockId target = before[inst.a].value != 0 ? inst.t1 : inst.t2;
+      } else if (inst.op == Opcode::Br && st[inst.a].kind == Lattice::Const) {
+        const BlockId target = st[inst.a].value != 0 ? inst.t1 : inst.t2;
         Instr repl;
         repl.op = Opcode::Jump;
         repl.t1 = target;
@@ -279,19 +303,22 @@ bool dce(Function& fn) {
   const Liveness lv = compute_liveness(fn, cfg);
   bool changed = false;
 
+  RegSet live(fn.num_regs);
+  std::vector<std::uint8_t> dead;
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
     BasicBlock& bb = fn.blocks[b];
-    RegSet live = lv.live_out[b];
-    std::vector<Instr> kept;
-    kept.reserve(bb.insts.size());
+    live = lv.live_out[b];
+    dead.assign(bb.insts.size(), 0);
+    bool any_dead = false;
     for (std::size_t i = bb.insts.size(); i-- > 0;) {
-      Instr& inst = bb.insts[i];
+      const Instr& inst = bb.insts[i];
       const bool removable =
           inst.op == Opcode::Nop ||
           ((is_pure(inst) || reads_memory(inst)) && has_dst(inst) &&
            !live.contains(inst.dst));
       if (removable) {
-        changed = true;
+        dead[i] = 1;
+        any_dead = true;
         continue;
       }
       if (has_dst(inst)) live.erase(inst.dst);
@@ -299,10 +326,13 @@ bool dce(Function& fn) {
       unsigned n = 0;
       append_uses(inst, uses, n);
       for (unsigned u = 0; u < n; ++u) live.insert(uses[u]);
-      kept.push_back(inst);
     }
-    std::reverse(kept.begin(), kept.end());
-    bb.insts = std::move(kept);
+    if (!any_dead) continue;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < bb.insts.size(); ++i)
+      if (!dead[i]) bb.insts[kept++] = bb.insts[i];
+    bb.insts.resize(kept);
+    changed = true;
   }
   return changed;
 }

@@ -37,23 +37,29 @@ unsigned sched_latency(const Instr& inst) {
   }
 }
 
-ScheduleDag build_dag(const std::vector<Instr>& insts) {
-  const std::size_t n = insts.size();
-  ScheduleDag dag;
-  dag.succs.resize(n);
-  dag.preds.resize(n);
-  dag.height.assign(n, 0);
+namespace {
 
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+}  // namespace
+
+const ScheduleDag& DagBuilder::build(std::span<const Instr> insts) {
+  const std::size_t n = insts.size();
+  ScheduleDag& dag = dag_;
+  EdgeLists& preds = dag.preds;
+  preds.start.assign(1, 0);
+  preds.targets.clear();
+
+  // Every edge into node i is added while i is processed, so i's
+  // predecessor list is the tail of preds.targets until i is done.
   auto add_edge = [&](std::size_t from, std::size_t to) {
-    for (std::size_t s : dag.succs[from])
-      if (s == to) return;
-    dag.succs[from].push_back(to);
-    dag.preds[to].push_back(from);
+    const auto first = preds.targets.begin() +
+                       static_cast<std::ptrdiff_t>(preds.start[to]);
+    if (std::find(first, preds.targets.end(), from) == preds.targets.end())
+      preds.targets.push_back(from);
   };
 
-  std::vector<std::size_t> last_def(1, 0);  // resized lazily below
-  std::vector<std::vector<std::size_t>> uses_since_def;
-  // Track by register id; registers can be large, so use maps sized to max.
+  // Size the per-register tables to the largest register in the block.
   Reg max_reg = 0;
   for (const Instr& inst : insts) {
     if (has_dst(inst)) max_reg = std::max(max_reg, inst.dst);
@@ -62,12 +68,15 @@ ScheduleDag build_dag(const std::vector<Instr>& insts) {
     append_uses(inst, uses, nu);
     for (unsigned u = 0; u < nu; ++u) max_reg = std::max(max_reg, uses[u]);
   }
-  const std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> def_of(max_reg + 1, kNone);
-  std::vector<std::vector<std::size_t>> users_of(max_reg + 1);
+  if (def_of_.size() <= max_reg) {
+    def_of_.resize(std::size_t{max_reg} + 1, kNone);
+    first_reader_.resize(std::size_t{max_reg} + 1, kNone);
+    last_reader_.resize(std::size_t{max_reg} + 1, kNone);
+  }
+  readers_.clear();
 
   std::size_t last_store = kNone;
-  std::vector<std::size_t> reads_since_store;
+  reads_since_store_.clear();
   std::size_t last_barrier = kNone;
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -78,35 +87,61 @@ ScheduleDag build_dag(const std::vector<Instr>& insts) {
     append_uses(inst, uses, nu);
     for (unsigned u = 0; u < nu; ++u) {
       const Reg r = uses[u];
-      if (def_of[r] != kNone) add_edge(def_of[r], i);  // RAW
-      users_of[r].push_back(i);
+      if (def_of_[r] != kNone) add_edge(def_of_[r], i);  // RAW
+      readers_.push_back({i, kNone});
+      const std::size_t k = readers_.size() - 1;
+      if (first_reader_[r] == kNone) first_reader_[r] = k;
+      else readers_[last_reader_[r]].next = k;
+      last_reader_[r] = k;
     }
     if (has_dst(inst)) {
       const Reg d = inst.dst;
-      if (def_of[d] != kNone) add_edge(def_of[d], i);  // WAW
-      for (std::size_t u : users_of[d])
-        if (u != i) add_edge(u, i);  // WAR
-      def_of[d] = i;
-      users_of[d].clear();
+      if (def_of_[d] != kNone) add_edge(def_of_[d], i);  // WAW
+      for (std::size_t k = first_reader_[d]; k != kNone; k = readers_[k].next)
+        if (readers_[k].inst != i) add_edge(readers_[k].inst, i);  // WAR
+      def_of_[d] = i;
+      first_reader_[d] = kNone;
     }
 
     if (is_mem_read(inst)) {
       if (last_store != kNone) add_edge(last_store, i);
       if (last_barrier != kNone) add_edge(last_barrier, i);
-      reads_since_store.push_back(i);
+      reads_since_store_.push_back(i);
     }
     if (is_mem_write(inst) || is_barrier(inst)) {
       if (last_store != kNone) add_edge(last_store, i);
-      for (std::size_t r : reads_since_store) add_edge(r, i);
-      reads_since_store.clear();
+      for (std::size_t r : reads_since_store_) add_edge(r, i);
+      reads_since_store_.clear();
       if (last_barrier != kNone) add_edge(last_barrier, i);
       if (is_barrier(inst)) last_barrier = i;
       else last_store = i;
     }
+    preds.start.push_back(preds.targets.size());
+  }
+
+  // Successor lists are the transpose. Walking the targets in ascending
+  // order lists each node's successors in ascending order.
+  EdgeLists& succs = dag.succs;
+  succs.start.assign(n + 1, 0);
+  for (std::size_t from : preds.targets) ++succs.start[from + 1];
+  for (std::size_t i = 0; i < n; ++i) succs.start[i + 1] += succs.start[i];
+  succs.targets.resize(preds.targets.size());
+  cursor_.assign(succs.start.begin(), succs.start.end() - 1);
+  for (std::size_t to = 0; to < n; ++to)
+    for (std::size_t from : preds[to]) succs.targets[cursor_[from]++] = to;
+
+  // Empty the per-register entries this block touched.
+  for (const Instr& inst : insts) {
+    std::array<Reg, 2 + kMaxCallArgs> uses;
+    unsigned nu = 0;
+    append_uses(inst, uses, nu);
+    for (unsigned u = 0; u < nu; ++u) first_reader_[uses[u]] = kNone;
+    if (has_dst(inst)) def_of_[inst.dst] = kNone;
   }
 
   // Critical-path heights (reverse topological order = reverse index
   // order, since all edges go forward).
+  dag.height.assign(n, 0);
   for (std::size_t i = n; i-- > 0;) {
     unsigned h = sched_latency(insts[i]);
     unsigned best = 0;
@@ -116,24 +151,30 @@ ScheduleDag build_dag(const std::vector<Instr>& insts) {
   return dag;
 }
 
+ScheduleDag build_dag(const std::vector<Instr>& insts) {
+  DagBuilder builder;
+  return builder.build(insts);
+}
+
 bool schedule_blocks(Function& fn) {
   bool changed = false;
+  DagBuilder builder;
+  std::vector<unsigned> indeg;
+  std::vector<std::size_t> ready, order;
   for (BasicBlock& bb : fn.blocks) {
     if (bb.insts.size() < 3) continue;
     const std::size_t n = bb.insts.size() - 1;  // exclude terminator
-    std::vector<Instr> body(bb.insts.begin(), bb.insts.begin() + n);
-    const ScheduleDag dag = build_dag(body);
+    const ScheduleDag& dag = builder.build({bb.insts.data(), n});
 
-    std::vector<unsigned> indeg(n, 0);
+    indeg.resize(n);
     for (std::size_t i = 0; i < n; ++i)
       indeg[i] = static_cast<unsigned>(dag.preds[i].size());
 
-    std::vector<std::size_t> ready;
+    ready.clear();
     for (std::size_t i = 0; i < n; ++i)
       if (indeg[i] == 0) ready.push_back(i);
 
-    std::vector<std::size_t> order;
-    order.reserve(n);
+    order.clear();
     while (!ready.empty()) {
       // Highest critical-path height wins; original order breaks ties.
       std::size_t best_pos = 0;
@@ -158,7 +199,7 @@ bool schedule_blocks(Function& fn) {
 
     std::vector<Instr> scheduled;
     scheduled.reserve(bb.insts.size());
-    for (std::size_t i : order) scheduled.push_back(body[i]);
+    for (std::size_t i : order) scheduled.push_back(bb.insts[i]);
     scheduled.push_back(bb.insts.back());
     bb.insts = std::move(scheduled);
     changed = true;

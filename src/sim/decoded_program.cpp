@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/fingerprint.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 
@@ -138,7 +137,6 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
 
 std::shared_ptr<const DecodedProgram> decode_program(const ir::Module& mod) {
   auto prog = std::make_shared<DecodedProgram>();
-  prog->fingerprint = ir::fingerprint(mod);
   prog->funcs.reserve(mod.functions().size());
   for (ir::FuncId id = 0; id < mod.functions().size(); ++id) {
     prog->funcs.push_back(decode_function(mod, mod.function(id), id,

@@ -129,7 +129,6 @@ struct DecodedFunction {
 /// source module (the ProgramCache does).
 struct DecodedProgram {
   std::vector<DecodedFunction> funcs;
-  std::uint64_t fingerprint = 0;      // ir::fingerprint of the source
   std::size_t instruction_count = 0;  // static instructions decoded
 };
 

@@ -9,6 +9,7 @@
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "support/assert.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -237,6 +238,14 @@ TEST(Verifier, CatchesBadRegister) {
   EXPECT_NE(verify(m), "");
 }
 
+TEST(Verifier, CatchesTooManyRegisters) {
+  Module m = simple_module();
+  m.function(0).num_regs = kMaxRegs;
+  EXPECT_EQ(verify(m), "");
+  m.function(0).num_regs = kMaxRegs + 1;
+  EXPECT_NE(verify(m).find("too many registers"), std::string::npos);
+}
+
 TEST(Verifier, CatchesBadBranchTarget) {
   Module m;
   FunctionBuilder b(m, "f", 0);
@@ -362,6 +371,57 @@ TEST(RegSetOps, InsertEraseMergeCount) {
   s.erase(0);
   EXPECT_FALSE(s.contains(0));
   EXPECT_EQ(s.count(), 2u);
+}
+
+TEST(RegSetOps, WordOperationsMatchABitModelAtWordBoundaries) {
+  // Sizes around one and two 64-bit words, against a one-bool-per-register
+  // model; random contents, including the last register of each size.
+  ilc::support::Rng rng(64);
+  for (const unsigned size : {1u, 63u, 64u, 65u, 128u}) {
+    auto random_set = [&](RegSet& set, std::vector<bool>& model) {
+      for (Reg r = 0; r < size; ++r)
+        if (rng.next_below(3) == 0) {
+          set.insert(r);
+          model[r] = true;
+        }
+      set.insert(size - 1);
+      model[size - 1] = true;
+    };
+    for (int round = 0; round < 50; ++round) {
+      RegSet a(size), b(size), c(size);
+      std::vector<bool> ma(size), mb(size), mc(size);
+      random_set(a, ma);
+      random_set(b, mb);
+      random_set(c, mc);
+      // a |= b − c
+      bool grows = false;
+      for (Reg r = 0; r < size; ++r)
+        if (mb[r] && !mc[r] && !ma[r]) {
+          ma[r] = true;
+          grows = true;
+        }
+      EXPECT_EQ(a.merge_difference(b, c), grows) << size;
+      EXPECT_FALSE(a.merge_difference(b, c)) << size;
+      // c |= a
+      grows = false;
+      for (Reg r = 0; r < size; ++r)
+        if (ma[r] && !mc[r]) {
+          mc[r] = true;
+          grows = true;
+        }
+      EXPECT_EQ(c.merge(a), grows) << size;
+      std::size_t count = 0;
+      for (Reg r = 0; r < size; ++r) {
+        ASSERT_EQ(a.contains(r), ma[r]) << size << " r" << r;
+        ASSERT_EQ(c.contains(r), mc[r]) << size << " r" << r;
+        count += ma[r];
+      }
+      EXPECT_EQ(a.count(), count) << size;
+      a.erase(size - 1);
+      EXPECT_FALSE(a.contains(size - 1)) << size;
+      EXPECT_FALSE(a == c) << size;  // c holds size - 1
+    }
+  }
 }
 
 // --- printer / fingerprint ---------------------------------------------

@@ -4,14 +4,18 @@
 // fuzzed random pass sequences (the same population Fig. 2 searches over).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "ir/analysis.hpp"
 #include "ir/builder.hpp"
 #include "ir/fingerprint.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "liveness_reference.hpp"
 #include "opt/pass.hpp"
 #include "opt/pipelines.hpp"
 #include "sim/interpreter.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -68,19 +72,19 @@ class SequenceFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(SequenceFuzz, RandomLength5SequencePreservesSemantics) {
   support::Rng rng(1000 + GetParam());
-  const auto space = opt::sequence_space();
-  // Mirror the paper's constraint: unrolling appears at most once.
+  // All 16 passes; mirror the paper's constraint that unrolling appears
+  // at most once.
   std::vector<PassId> seq;
   bool used_unroll = false;
   while (seq.size() < 5) {
-    const PassId id = space[rng.next_below(space.size())];
+    const auto id = static_cast<PassId>(rng.next_below(opt::kNumPasses));
     if (opt::is_unroll(id)) {
       if (used_unroll) continue;
       used_unroll = true;
     }
     seq.push_back(id);
   }
-  for (const auto& name : {"adpcm", "mcf_lite", "crc32"}) {
+  for (const auto& name : wl::workload_names()) {
     wl::Workload w = wl::make_workload(name);
     opt::run_sequence(w.module, seq);
     ASSERT_EQ(verify(w.module), "") << name;
@@ -89,6 +93,314 @@ TEST_P(SequenceFuzz, RandomLength5SequencePreservesSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, SequenceFuzz, ::testing::Range(0, 12));
+
+// --- byte identity of optimizer output -----------------------------------
+//
+// Optimized modules are part of the system's persisted identity: the
+// evaluator memo and the KB key are ir::fingerprint values of optimized
+// code. Each workload's digest covers, for seeded random sequences over
+// all 16 passes (lengths 1-10) plus FAST, the printed IR, the
+// fingerprint, run_sequence's changed count and the ir::verify result.
+// A change that alters what any pass emits must re-record these values
+// knowingly; a pure speed-up must leave them alone.
+
+constexpr int kDigestSequences = 64;
+
+/// A random sequence over all 16 passes with min_len..max_len entries.
+std::vector<PassId> random_sequence(support::Rng& rng, unsigned min_len,
+                                    unsigned max_len) {
+  std::vector<PassId> seq(min_len + rng.next_below(max_len - min_len + 1));
+  for (PassId& id : seq)
+    id = static_cast<PassId>(rng.next_below(opt::kNumPasses));
+  return seq;
+}
+
+std::uint64_t optimizer_output_digest(const std::string& workload) {
+  const wl::Workload w = wl::make_workload(workload);
+  support::Rng rng(support::hash_bytes(workload.data(), workload.size()));
+  support::Hasher h;
+  auto absorb = [&](const std::vector<PassId>& seq) {
+    Module m = w.module;
+    const unsigned changed = opt::run_sequence(m, seq);
+    h.str(to_string(m));
+    h.pod(fingerprint(m));
+    h.pod(changed);
+    h.str(verify(m));
+  };
+  for (int i = 0; i < kDigestSequences; ++i)
+    absorb(random_sequence(rng, 1, 10));
+  absorb(opt::fast_pipeline());
+  return h.digest();
+}
+
+const std::map<std::string, std::uint64_t> kRecordedDigests = {
+    {"adpcm", 0x2fb37786a25dad15ULL},
+    {"mcf_lite", 0xf677a4719bd27634ULL},
+    {"matmul", 0xe56728dd96fc073ULL},
+    {"fir", 0x55f3d31bdc7c5e69ULL},
+    {"crc32", 0x1f87bbda030536f8ULL},
+    {"dijkstra", 0x448dd6d1fd03aa68ULL},
+    {"histogram", 0xdc30106184a64d85ULL},
+    {"stencil", 0x453a4a9d5a02056eULL},
+    {"shellsort", 0x5a0eb5c8470b3c2aULL},
+    {"strsearch", 0xa7ce55d2ca1062eeULL},
+    {"sha_lite", 0x24d5cc44189ad4adULL},
+    {"rle", 0x74f8fa90679d4bfaULL},
+    {"bitcount", 0x1c5b63b3f34ec30cULL},
+    {"dotprod", 0x8e678d8aa8be5da4ULL},
+    {"linklist", 0x10703c30fb3eb992ULL},
+    {"treewalk", 0x10f84ed46b0b967ULL},
+    {"phased_mix", 0xe9c2fc4741356568ULL},
+};
+
+class OptimizerOutputIdentity
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OptimizerOutputIdentity, MatchesRecordedDigest) {
+  const std::uint64_t got = optimizer_output_digest(GetParam());
+  const auto it = kRecordedDigests.find(GetParam());
+  ASSERT_NE(it, kRecordedDigests.end()) << std::hex << "digest 0x" << got;
+  EXPECT_EQ(got, it->second) << std::hex << "digest 0x" << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, OptimizerOutputIdentity,
+                         ::testing::ValuesIn(wl::workload_names()),
+                         [](const auto& info) { return info.param; });
+
+TEST(Liveness, MatchesPerBitReferenceAfterRandomSequences) {
+  support::Rng rng(2008);
+  for (const auto& name : wl::workload_names()) {
+    const wl::Workload w = wl::make_workload(name);
+    for (int i = 0; i < 12; ++i) {
+      Module m = w.module;
+      opt::run_sequence(m, random_sequence(rng, 0, 10));
+      testref::expect_liveness_matches_reference(m, name);
+    }
+  }
+}
+
+// --- LICM against its per-candidate reference ----------------------------
+//
+// opt::licm takes condition (e), "not used outside the loop", from one set
+// per loop. The form below is the one it replaced: it rescans the function
+// for every candidate. Both must hoist exactly the same instructions.
+
+bool reference_used_outside_loop(const Function& fn, const Loop& loop,
+                                 Reg r) {
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    if (loop.contains(static_cast<BlockId>(b))) continue;
+    for (const Instr& inst : fn.blocks[b].insts) {
+      std::array<Reg, 2 + kMaxCallArgs> uses;
+      unsigned n = 0;
+      append_uses(inst, uses, n);
+      for (unsigned u = 0; u < n; ++u)
+        if (uses[u] == r) return true;
+    }
+  }
+  return false;
+}
+
+BlockId reference_ensure_preheader(Function& fn, const Loop& loop) {
+  if (loop.header == 0) return kNoBlock;
+  const Cfg cfg(fn);
+  std::vector<BlockId> outside;
+  for (BlockId p : cfg.preds[loop.header])
+    if (!loop.contains(p)) outside.push_back(p);
+  if (outside.empty()) return kNoBlock;
+  if (outside.size() == 1 &&
+      fn.blocks[outside[0]].terminator().op == Opcode::Jump)
+    return outside[0];
+  const BlockId pre = fn.new_block();
+  Instr j;
+  j.op = Opcode::Jump;
+  j.t1 = loop.header;
+  fn.blocks[pre].insts.push_back(j);
+  for (BlockId p : outside) {
+    Instr& t = fn.blocks[p].terminator();
+    if (t.op == Opcode::Jump && t.t1 == loop.header) t.t1 = pre;
+    if (t.op == Opcode::Br) {
+      if (t.t1 == loop.header) t.t1 = pre;
+      if (t.t2 == loop.header) t.t2 = pre;
+    }
+  }
+  return pre;
+}
+
+bool reference_licm(Function& fn) {
+  bool changed = false;
+  for (std::size_t li = 0;; ++li) {
+    const auto loops = find_loops(fn);
+    if (li >= loops.size()) break;
+    const Loop& loop = loops[li];
+    const BlockId pre = reference_ensure_preheader(fn, loop);
+    if (pre == kNoBlock) continue;
+
+    std::vector<unsigned> defs(fn.num_regs, 0);
+    for (BlockId b : loop.blocks)
+      for (const Instr& inst : fn.blocks[b].insts)
+        if (has_dst(inst)) defs[inst.dst] += 1;
+    const Cfg cfg(fn);
+    const Liveness lv = testref::reference_liveness(fn, cfg);
+
+    bool hoisted_any = true;
+    while (hoisted_any) {
+      hoisted_any = false;
+      for (BlockId b : loop.blocks) {
+        BasicBlock& bb = fn.blocks[b];
+        for (std::size_t i = 0; i < bb.insts.size(); ++i) {
+          const Instr inst = bb.insts[i];
+          if (!is_pure(inst) || !has_dst(inst) || is_terminator(inst))
+            continue;
+          std::array<Reg, 2 + kMaxCallArgs> uses;
+          unsigned n = 0;
+          append_uses(inst, uses, n);
+          bool srcs_invariant = true;
+          for (unsigned u = 0; u < n; ++u)
+            if (defs[uses[u]] != 0) srcs_invariant = false;
+          if (!srcs_invariant || defs[inst.dst] != 1) continue;
+          if (lv.live_in[loop.header].contains(inst.dst)) continue;
+          if (reference_used_outside_loop(fn, loop, inst.dst)) continue;
+          BasicBlock& ph = fn.blocks[pre];
+          ph.insts.insert(ph.insts.end() - 1, inst);
+          bb.insts.erase(bb.insts.begin() + static_cast<long>(i));
+          defs[inst.dst] = 0;
+          hoisted_any = true;
+          changed = true;
+          --i;
+        }
+      }
+    }
+  }
+  return changed;
+}
+
+/// opt::licm and the reference on copies of every function of `mod`.
+void expect_licm_matches_reference(const Module& mod,
+                                   const std::string& label) {
+  Module got = mod, want = mod;
+  for (std::size_t f = 0; f < mod.functions().size(); ++f) {
+    const auto id = static_cast<FuncId>(f);
+    EXPECT_EQ(opt::licm(got.function(id)), reference_licm(want.function(id)))
+        << label << " @" << mod.function(id).name;
+  }
+  EXPECT_EQ(to_string(got), to_string(want)) << label;
+}
+
+TEST(Licm, NestedLoopsWithChainedHoistsMatchPerCandidateReference) {
+  // for i < 10 { for j < 5 { acc += 2*(x*7) + (i*x + x); y = x*x }
+  //              y = 2; acc += y }
+  Module m;
+  FunctionBuilder b(m, "main", 1);
+  const Reg x = b.arg(0);
+  const Reg acc = b.fresh(), i = b.fresh(), j = b.fresh(), y = b.fresh();
+  b.imm_to(acc, 0);
+  b.imm_to(i, 0);
+  const BlockId outer = b.new_block(), outer_body = b.new_block(),
+                inner = b.new_block(), inner_body = b.new_block(),
+                latch = b.new_block(), exit = b.new_block();
+  b.jump(outer);
+  b.switch_to(outer);
+  b.br(b.cmp_lt(i, b.imm(10)), outer_body, exit);
+  b.switch_to(outer_body);
+  b.imm_to(j, 0);
+  b.jump(inner);
+  b.switch_to(inner);
+  b.br(b.cmp_lt(j, b.imm(5)), inner_body, latch);
+  b.switch_to(inner_body);
+  // Invariant in both loops, each hoist feeding the next: 7, then x*7
+  // (reads it), then the sum (reads that).
+  const Reg u = b.add(b.mul(x, b.imm(7)), b.mul(x, b.imm(7)));
+  // Invariant in the inner loop only, since i changes in the outer one:
+  // i*x, then +x (reads it), then u + v (reads that and u).
+  const Reg v = b.add(b.mul(i, x), x);
+  b.mov_to(acc, b.add(acc, b.add(u, v)));
+  // Invariant, but y is read outside the inner loop (in the latch) and
+  // defined twice in the outer one, so it stays.
+  b.mov_to(y, b.mul(x, x));
+  b.mov_to(j, b.add_i(j, 1));
+  b.jump(inner);
+  b.switch_to(latch);
+  b.imm_to(y, 2);
+  b.mov_to(acc, b.add(acc, y));
+  b.mov_to(i, b.add_i(i, 1));
+  b.jump(outer);
+  b.switch_to(exit);
+  b.ret(acc);
+  b.finish();
+  ASSERT_EQ(verify(m), "");
+
+  expect_licm_matches_reference(m, "nested");
+  Module hoisted = m;
+  ASSERT_TRUE(opt::licm(hoisted.function(0)));
+  // Left in the inner body: the acc update (add, mov), y's copy, the j
+  // update (add, mov) and the jump.
+  const auto& body = hoisted.function(0).blocks[inner_body].insts;
+  EXPECT_EQ(body.size(), 6u) << to_string(hoisted);
+  bool y_in_body = false;
+  for (const Instr& inst : body) y_in_body |= has_dst(inst) && inst.dst == y;
+  EXPECT_TRUE(y_in_body);
+  sim::Simulator s(hoisted, sim::amd_like());
+  EXPECT_EQ(s.call("main", {3}).ret, 5 * (10 * 45 + 3 * 45) + 10 * 2);
+}
+
+TEST(Licm, RefindsLoopsAfterAPreheaderLandsInsideAnotherLoop) {
+  // The inner loop's header has the lower block id, so it is visited
+  // first, and its preheader is created inside the outer loop (the outer
+  // body ends in a branch). The outer loop must then see that block: r
+  // gains a second in-loop definition there and may not be hoisted.
+  // for i < 10 { r = 3; acc += r; if (0 < x) for j < 5 { r = 7; acc += r } }
+  Module m;
+  FunctionBuilder b(m, "main", 1);
+  const Reg x = b.arg(0);
+  const Reg acc = b.fresh(), i = b.fresh(), j = b.fresh(), r = b.fresh();
+  b.imm_to(acc, 0);
+  b.imm_to(i, 0);
+  const BlockId inner = b.new_block(), inner_body = b.new_block(),
+                outer = b.new_block(), outer_body = b.new_block(),
+                latch = b.new_block(), exit = b.new_block();
+  b.jump(outer);
+  b.switch_to(outer);
+  b.br(b.cmp_lt(i, b.imm(10)), outer_body, exit);
+  b.switch_to(outer_body);
+  b.imm_to(r, 3);
+  b.mov_to(acc, b.add(acc, r));
+  b.imm_to(j, 0);
+  b.br(b.cmp_lt(j, x), inner, latch);
+  b.switch_to(inner);
+  b.br(b.cmp_lt(j, b.imm(5)), inner_body, latch);
+  b.switch_to(inner_body);
+  b.imm_to(r, 7);
+  b.mov_to(acc, b.add(acc, r));
+  b.mov_to(j, b.add_i(j, 1));
+  b.jump(inner);
+  b.switch_to(latch);
+  b.mov_to(i, b.add_i(i, 1));
+  b.jump(outer);
+  b.switch_to(exit);
+  b.ret(acc);
+  b.finish();
+  ASSERT_EQ(verify(m), "");
+  ASSERT_LT(inner, outer);
+
+  expect_licm_matches_reference(m, "inner header first");
+  Module hoisted = m;
+  ASSERT_TRUE(opt::licm(hoisted.function(0)));
+  EXPECT_EQ(hoisted.function(0).blocks.size(), m.function(0).blocks.size() + 1);
+  sim::Simulator s(hoisted, sim::amd_like());
+  EXPECT_EQ(s.call("main", {3}).ret, 10 * (3 + 5 * 7));
+}
+
+TEST(Licm, MatchesPerCandidateReferenceAfterRandomSequences) {
+  support::Rng rng(1987);
+  for (const auto& name : wl::workload_names()) {
+    const wl::Workload w = wl::make_workload(name);
+    for (int i = 0; i < 12; ++i) {
+      Module m = w.module;
+      opt::run_sequence(m, random_sequence(rng, 0, 6));
+      expect_licm_matches_reference(m, name);
+    }
+  }
+}
 
 TEST(Pipelines, FastPipelinePreservesEveryWorkload) {
   for (const auto& name : wl::workload_names()) {

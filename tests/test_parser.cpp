@@ -147,6 +147,25 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_THROW(
       parse_module("func @f(0) regs=1 frame=0 {\nbb0:\n  r0 = imm\n}\n"),
       support::CheckError);  // missing integer
+  // An integer that does not fit its field is an error: never truncated,
+  // wrapped or saturated.
+  EXPECT_THROW(
+      parse_module("func @f(0) regs=4294967296 frame=0 {\nbb0:\n  ret\n}\n"),
+      support::CheckError);
+  EXPECT_THROW(
+      parse_module("func @f(0) regs=-1 frame=0 {\nbb0:\n  ret\n}\n"),
+      support::CheckError);
+  EXPECT_THROW(parse_module("func @f(0) regs=1 frame=0 {\nbb0:\n"
+                            "  r0 = imm 9223372036854775808\n  ret r0\n}\n"),
+               support::CheckError);
+}
+
+TEST(Parser, IntegersAtTheirFieldLimitsParse) {
+  const Module m = parse_module(
+      "func @f(0) regs=4294967295 frame=0 {\nbb0:\n"
+      "  r0 = imm -9223372036854775808\n  ret r0\n}\n");
+  EXPECT_EQ(m.function(0).num_regs, 4294967295u);
+  EXPECT_EQ(m.function(0).blocks[0].insts[0].imm, INT64_MIN);
 }
 
 TEST(Parser, PreservesRecordsAndGlobals) {

@@ -15,7 +15,7 @@
 
 #include "dynopt/dynopt.hpp"
 #include "ir/builder.hpp"
-#include "ir/fingerprint.hpp"
+#include "liveness_reference.hpp"
 #include "search/space.hpp"
 #include "sim/decoded_program.hpp"
 #include "sim/interpreter.hpp"
@@ -62,20 +62,34 @@ INSTANTIATE_TEST_SUITE_P(Suite, DecodedDifferential,
 
 // --- randomized modules ---------------------------------------------------
 
-TEST(DecodedDifferentialRandom, MatchesLegacyOnRandomizedModules) {
-  // 20 random points of the optimization space, cycling through the
-  // suite: each optimized module is a structurally distinct program.
+/// 20 random points of the optimization space, cycling through the
+/// suite: each optimized module is a structurally distinct program.
+std::vector<std::pair<std::string, ir::Module>> randomized_modules() {
   support::Rng rng(20080216);
   const search::SequenceSpace space;
   const auto& names = wl::workload_names();
+  std::vector<std::pair<std::string, ir::Module>> out;
   for (int i = 0; i < 20; ++i) {
     const wl::Workload w = wl::make_workload(names[i % names.size()]);
     ir::Module mod = w.module;
     const auto seq = space.sample(rng);
     opt::run_sequence(mod, seq);
-    expect_engine_matches_reference(
-        mod, w.name + "/" + search::sequence_to_string(seq));
+    out.emplace_back(w.name + "/" + search::sequence_to_string(seq),
+                     std::move(mod));
   }
+  return out;
+}
+
+TEST(DecodedDifferentialRandom, MatchesLegacyOnRandomizedModules) {
+  for (const auto& [label, mod] : randomized_modules())
+    expect_engine_matches_reference(mod, label);
+}
+
+// The same modules give the word-parallel liveness the shapes random
+// sequences create: unrolled bodies, inlined frames, new preheaders.
+TEST(DecodedDifferentialRandom, LivenessMatchesPerBitReference) {
+  for (const auto& [label, mod] : randomized_modules())
+    testref::expect_liveness_matches_reference(mod, label);
 }
 
 // --- multi-versioning -----------------------------------------------------
@@ -112,7 +126,6 @@ TEST(DecodedProgram, FlattensEveryFunctionAndInstruction) {
   const wl::Workload w = wl::make_workload("adpcm");
   const auto prog = sim::decode_program(w.module);
   ASSERT_EQ(prog->funcs.size(), w.module.functions().size());
-  EXPECT_EQ(prog->fingerprint, ir::fingerprint(w.module));
   std::size_t static_instrs = 0;
   for (const auto& fn : w.module.functions())
     for (const auto& b : fn.blocks) static_instrs += b.insts.size();

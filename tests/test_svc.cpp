@@ -400,6 +400,29 @@ TEST(Svc, MalformedInlineIrYieldsErrorResponse) {
        "  r0 = call @0(r0, r0, r0)\n"
        "  ret r0\n"
        "}\n"},
+      // Every per-register table scales with regs=, so the verifier
+      // bounds it: near UINT_MAX a bitset's word count would wrap to 0.
+      {"too many registers",
+       "module m ptr=8\n"
+       "func @main(0) regs=65537 frame=0 {\n"
+       "bb0:\n"
+       "  r0 = imm 1\n"
+       "  ret r0\n"
+       "}\n"},
+      {"too many registers",
+       "module m ptr=8\n"
+       "func @main(0) regs=4294967295 frame=0 {\n"
+       "bb0:\n"
+       "  r0 = imm 1\n"
+       "  ret r0\n"
+       "}\n"},
+      {"integer out of range",
+       "module m ptr=8\n"
+       "func @main(0) regs=-1 frame=0 {\n"
+       "bb0:\n"
+       "  r0 = imm 1\n"
+       "  ret r0\n"
+       "}\n"},
   };
   for (const auto& c : cases) {
     svc::TuningService service({.workers = 1});
