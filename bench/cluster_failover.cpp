@@ -236,7 +236,6 @@ int main(int argc, char** argv) {
     if (secs_since(t_kill) > 60.0) die("promotion never happened");
   }
   writer.join();
-  monitor.stop();
 
   const double detect_s =
       std::chrono::duration<double>(t_down - t_kill).count();

@@ -271,7 +271,6 @@ int main() {
   std::printf("scatter (shard 1 down): %s\n",
               cluster::ScatterClient::merge_metrics(partial).c_str());
 
-  monitor.stop();
   promo.ship.reset();
   std::printf("cluster_demo: OK\n");
   return 0;

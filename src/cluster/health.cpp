@@ -1,9 +1,8 @@
 #include "cluster/health.hpp"
 
 #include <algorithm>
-#include <chrono>
 
-#include "cluster/lineio.hpp"
+#include "net/blocking.hpp"
 #include "support/failpoint.hpp"
 
 namespace ilc::cluster {
@@ -23,7 +22,7 @@ bool ping_probe(const repl::Endpoint& ep, int timeout_ms) {
   // lost / endpoint frozen — the deterministic leader-death of the tests.
   if (support::failpoint("cluster.probe")) return false;
   std::string reply;
-  if (!request_line(ep, "ping", timeout_ms, reply)) return false;
+  if (!net::request_line(ep.port, "ping", timeout_ms, reply)) return false;
   return reply.rfind("ok pong", 0) == 0;
 }
 
@@ -42,8 +41,6 @@ HealthMonitor::HealthMonitor(HealthOptions opts) : opts_(std::move(opts)) {
   transitions_down_ = reg.counter(p + ".mark_down");
   transitions_up_ = reg.counter(p + ".mark_up");
 }
-
-HealthMonitor::~HealthMonitor() { stop(); }
 
 void HealthMonitor::add(const repl::Endpoint& ep) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -179,35 +176,6 @@ void HealthMonitor::probe_all_once() {
       if (t.to == Health::Healthy) router->set_up(t.ep);
     }
     if (on_change) on_change(t.ep, t.from, t.to);
-  }
-}
-
-void HealthMonitor::start() {
-  if (thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    stop_ = false;
-  }
-  thread_ = std::thread([this] { loop(); });
-}
-
-void HealthMonitor::stop() {
-  {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    stop_ = true;
-  }
-  cv_.notify_one();
-  if (thread_.joinable()) thread_.join();
-}
-
-void HealthMonitor::loop() {
-  std::unique_lock<std::mutex> lock(cv_mu_);
-  while (!stop_) {
-    lock.unlock();
-    probe_all_once();
-    lock.lock();
-    cv_.wait_for(lock, std::chrono::milliseconds(opts_.probe_interval_ms),
-                 [&] { return stop_; });
   }
 }
 

@@ -20,20 +20,18 @@
 // calls set_down, regaining Healthy calls set_up, so follower fallback
 // becomes automatic. on_change() observes every transition (the failover
 // path hangs a Promoter off leader-Down). probe_all_once() runs one
-// synchronous round — the deterministic unit the tests and the failover
-// bench drive, with no wall-clock dependence; start() runs the same
-// round on a background thread every probe_interval_ms.
+// synchronous round — the deterministic unit the tests, the failover
+// bench and the demo drive, with no wall-clock dependence. The caller
+// owns the cadence: the monitor has no thread of its own.
 //
 // Failpoint: `cluster.probe` fails the default ping probe (error kind),
 // making "the leader died" a deterministic event in tests.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -52,8 +50,7 @@ const char* to_string(Health h);
 bool ping_probe(const repl::Endpoint& ep, int timeout_ms);
 
 struct HealthOptions {
-  int probe_interval_ms = 50;   ///< background round cadence
-  int probe_timeout_ms = 200;   ///< per-probe reply deadline
+  int probe_timeout_ms = 200;  ///< per-probe reply deadline
   int down_after = 3;  ///< consecutive failures before Down
   int up_after = 2;    ///< consecutive successes before Healthy again
 
@@ -70,12 +67,11 @@ struct HealthOptions {
 class HealthMonitor {
  public:
   /// Every state transition: (endpoint, old, new). Fired outside the
-  /// monitor's lock, on the probing thread.
+  /// monitor's lock, on the thread running probe_all_once().
   using StateChange =
       std::function<void(const repl::Endpoint&, Health, Health)>;
 
   explicit HealthMonitor(HealthOptions opts = {});
-  ~HealthMonitor();  // stop()
 
   /// Register an endpoint (initially Healthy). Duplicates are ignored.
   void add(const repl::Endpoint& ep);
@@ -91,13 +87,8 @@ class HealthMonitor {
   Health state(const repl::Endpoint& ep) const;
   std::vector<std::pair<repl::Endpoint, Health>> states() const;
 
-  /// One synchronous probe round over every endpoint. The deterministic
-  /// driver for tests; also the body of the background loop.
+  /// One synchronous probe round over every endpoint.
   void probe_all_once();
-
-  /// Start/stop the background probing thread. start() is idempotent.
-  void start();
-  void stop();
 
  private:
   struct Slot {
@@ -116,7 +107,6 @@ class HealthMonitor {
   /// Apply one probe result to slot `i` (mu_ held); records the
   /// transition, if any, for post-unlock delivery.
   void apply_locked(std::size_t i, bool ok, std::vector<Transition>& out);
-  void loop();
 
   HealthOptions opts_;
   obs::Counter probes_;
@@ -128,11 +118,6 @@ class HealthMonitor {
   std::vector<Slot> slots_;
   repl::Router* router_ = nullptr;
   StateChange on_change_;
-
-  std::thread thread_;
-  std::mutex cv_mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
 };
 
 }  // namespace ilc::cluster

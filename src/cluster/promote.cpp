@@ -4,10 +4,10 @@
 
 namespace ilc::cluster {
 
-Promoter::Promoter(PromoterOptions opts) : opts_(std::move(opts)) {
+Promoter::Promoter(const PromoterOptions& opts) {
   obs::Registry& reg =
-      opts_.registry ? *opts_.registry : obs::Registry::instance();
-  const std::string& p = opts_.metric_prefix;
+      opts.registry ? *opts.registry : obs::Registry::instance();
+  const std::string& p = opts.metric_prefix;
   failovers_ = reg.counter(p + ".failovers");
   promotion_us_ = reg.histogram(p + ".promotion_us");
   last_promotion_us_ = reg.gauge(p + ".last_promotion_us");
@@ -70,8 +70,8 @@ PromotionResult Promoter::failover(std::vector<Replica>& replicas,
   }
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     if (i == chosen || !replicas[i].applier) continue;
-    replicas[i].client = repl::ShipClient::start(
-        *replicas[i].applier, ship->port(), opts_.ship_client);
+    replicas[i].client =
+        repl::ShipClient::start(*replicas[i].applier, ship->port());
   }
 
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(

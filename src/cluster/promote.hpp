@@ -65,12 +65,11 @@ struct PromotionResult {
 struct PromoterOptions {
   std::string metric_prefix = "cluster";
   obs::Registry* registry = nullptr;  ///< nullptr = process-wide
-  repl::ShipClientOptions ship_client;  ///< for the re-pointed followers
 };
 
 class Promoter {
  public:
-  explicit Promoter(PromoterOptions opts = {});
+  explicit Promoter(const PromoterOptions& opts = {});
 
   /// The most-caught-up replica: max (generation, seq), ties to the
   /// lowest index. Call after draining (clients stopped) for an exact
@@ -90,7 +89,6 @@ class Promoter {
   std::uint64_t failovers() const { return failovers_.value(); }
 
  private:
-  PromoterOptions opts_;
   obs::Counter failovers_;
   obs::Histogram promotion_us_;
   obs::Gauge last_promotion_us_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "cluster/lineio.hpp"
 #include "support/string_utils.hpp"
 
 namespace ilc::cluster {
@@ -260,46 +259,21 @@ std::unique_ptr<RegistryServer> RegistryServer::start(Registry& registry,
                                                       std::uint16_t port) {
   auto s = std::unique_ptr<RegistryServer>(new RegistryServer());
   s->registry_ = &registry;
-  try {
-    s->listen_ = net::listen_tcp(port, s->port_);
-  } catch (const std::exception&) {
-    return nullptr;
-  }
-  s->acceptor_ = std::thread(&RegistryServer::accept_loop, s.get());
+  const RegistryServer* self = s.get();
+  s->listener_ = net::Listener::start(
+      port, [self](net::Fd fd, const std::atomic<bool>& stop) {
+        self->session(std::move(fd), stop);
+      });
+  if (!s->listener_) return nullptr;
   return s;
 }
 
-RegistryServer::~RegistryServer() { stop(); }
-
-void RegistryServer::stop() {
-  if (stop_.exchange(true)) return;
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads.swap(threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
-  listen_.reset();
-}
-
-void RegistryServer::accept_loop() {
-  while (!stop_.load()) {
-    if (!net::wait_readable(listen_.get(), 50)) continue;
-    bool dropped = false;
-    net::Fd conn = net::accept_conn(listen_.get(), &dropped);
-    if (!conn.valid()) continue;
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads_.emplace_back(&RegistryServer::session, this, std::move(conn));
-  }
-}
-
-void RegistryServer::session(net::Fd fd) {
-  LineReader reader(fd.get());
+void RegistryServer::session(net::Fd fd,
+                             const std::atomic<bool>& stop) const {
+  net::LineReader reader(fd.get());
   std::string line;
   std::string err;
-  while (!stop_.load()) {
+  while (!stop.load()) {
     // Short poll per line so stop() is honored on an idle connection.
     err.clear();
     if (!reader.next(line, 50, &err)) {
@@ -308,7 +282,7 @@ void RegistryServer::session(net::Fd fd) {
     }
     if (line == "quit") return;
     const std::string response = registry_->handle(line);
-    if (!write_all(fd.get(), response, 1000)) return;
+    if (!net::write_all(fd.get(), response, 1000)) return;
   }
 }
 
@@ -318,10 +292,11 @@ RegistryClient::RegistryClient(repl::Endpoint registry_ep, int timeout_ms)
     : registry_ep_(std::move(registry_ep)), timeout_ms_(timeout_ms) {}
 
 bool RegistryClient::fetch(std::string* err) {
-  net::Fd fd = connect_endpoint(registry_ep_, timeout_ms_, err);
+  net::Fd fd = net::connect_within(registry_ep_.port, timeout_ms_, err);
   if (!fd.valid()) return false;
-  if (!write_all(fd.get(), "get\n", timeout_ms_, err)) return false;
-  LineReader reader(fd.get());
+  if (!net::write_all(fd.get(), "get\n", timeout_ms_, nullptr, err))
+    return false;
+  net::LineReader reader(fd.get());
   std::vector<std::string> lines;
   std::string line;
   do {
@@ -339,7 +314,8 @@ bool RegistryClient::fetch(std::string* err) {
 
 bool RegistryClient::refresh(std::string* err) {
   std::string reply;
-  if (!request_line(registry_ep_, "epoch", timeout_ms_, reply, err))
+  if (!net::request_line(registry_ep_.port, "epoch", timeout_ms_, reply,
+                         err))
     return false;
   const std::vector<std::string> words = support::split_ws(reply);
   std::uint64_t remote = 0;
@@ -353,7 +329,7 @@ bool RegistryClient::refresh(std::string* err) {
 
 bool RegistryClient::command(const std::string& line, std::string* why) {
   std::string reply;
-  if (!request_line(registry_ep_, line, timeout_ms_, reply, why))
+  if (!net::request_line(registry_ep_.port, line, timeout_ms_, reply, why))
     return false;
   if (reply.rfind("ok", 0) == 0) return true;
   if (why) *why = reply;

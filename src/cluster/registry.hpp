@@ -33,10 +33,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "net/socket.hpp"
+#include "net/blocking.hpp"
 #include "obs/metrics.hpp"
 #include "repl/router.hpp"
 
@@ -97,32 +96,29 @@ class Registry {
   obs::Counter fenced_;
 };
 
-/// Serves a Registry over loopback TCP, thread-per-connection (control
-/// plane traffic is light and long-lived sessions are unnecessary —
-/// every connection handles any number of commands, one line each).
+/// Serves a Registry over loopback TCP on a net::Listener, one thread
+/// per connection (control plane traffic is light; every connection
+/// handles any number of commands, one line each).
 class RegistryServer {
  public:
   /// Listen on 127.0.0.1:`port` (0 = ephemeral). nullptr when the port
   /// cannot be bound. The Registry must outlive the server.
   static std::unique_ptr<RegistryServer> start(Registry& registry,
                                                std::uint16_t port);
-  ~RegistryServer();
 
-  std::uint16_t port() const { return port_; }
-  void stop();
+  RegistryServer(const RegistryServer&) = delete;
+  RegistryServer& operator=(const RegistryServer&) = delete;
+
+  std::uint16_t port() const { return listener_->port(); }
+  void stop() { listener_->stop(); }
 
  private:
   RegistryServer() = default;
-  void accept_loop();
-  void session(net::Fd fd);
+  void session(net::Fd fd, const std::atomic<bool>& stop) const;
 
   Registry* registry_ = nullptr;
-  net::Fd listen_;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread acceptor_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;
+  // Declared last, so it is destroyed first: its sessions use registry_.
+  std::unique_ptr<net::Listener> listener_;
 };
 
 /// Client-side cache of the map with epoch-based refresh. Connection

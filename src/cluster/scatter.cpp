@@ -5,7 +5,7 @@
 #include <thread>
 #include <utility>
 
-#include "cluster/lineio.hpp"
+#include "net/blocking.hpp"
 #include "support/string_utils.hpp"
 
 namespace ilc::cluster {
@@ -39,8 +39,8 @@ ShardReply ScatterClient::query_shard(std::size_t shard,
     reply.endpoint = route->endpoint;
     reply.read_only = route->read_only;
     std::string err;
-    if (request_line(route->endpoint, line, opts_.timeout_ms, reply.line,
-                     &err)) {
+    if (net::request_line(route->endpoint.port, line, opts_.timeout_ms,
+                          reply.line, &err)) {
       reply.ok = true;
       reply.error.clear();
       return reply;

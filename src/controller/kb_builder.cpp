@@ -5,8 +5,10 @@
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "search/evaluator.hpp"
+#include "search/space.hpp"
 #include "search/strategies.hpp"
 #include "sim/interpreter.hpp"
+#include "support/rng.hpp"
 
 namespace ilc::ctrl {
 
@@ -90,26 +92,6 @@ void stream_flag_search_records(const RecordSink& sink,
 }
 
 }  // namespace
-
-void add_sequence_search_records(kb::KnowledgeBase& base,
-                                 const std::string& name,
-                                 const ir::Module& mod,
-                                 const sim::MachineConfig& machine,
-                                 const search::SequenceSpace& space,
-                                 support::Rng& rng, unsigned budget) {
-  stream_sequence_search_records(
-      [&base](kb::ExperimentRecord rec) { base.add(std::move(rec)); }, name,
-      mod, machine, space, rng, budget);
-}
-
-void add_flag_search_records(kb::KnowledgeBase& base, const std::string& name,
-                             const ir::Module& mod,
-                             const sim::MachineConfig& machine,
-                             support::Rng& rng, unsigned budget) {
-  stream_flag_search_records(
-      [&base](kb::ExperimentRecord rec) { base.add(std::move(rec)); }, name,
-      mod, machine, rng, budget);
-}
 
 void stream_training_records(const std::vector<SuiteProgram>& suite,
                              const sim::MachineConfig& machine,

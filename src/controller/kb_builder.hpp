@@ -11,9 +11,7 @@
 #include "ir/module.hpp"
 #include "kb/knowledge_base.hpp"
 #include "kbstore/store.hpp"
-#include "search/space.hpp"
 #include "sim/machine.hpp"
-#include "support/rng.hpp"
 
 namespace ilc::ctrl {
 
@@ -31,21 +29,6 @@ using RecordSink = std::function<void(kb::ExperimentRecord)>;
 kb::ExperimentRecord make_profile_record(const std::string& name,
                                          const ir::Module& mod,
                                          const sim::MachineConfig& machine);
-
-/// Random sequence search, recording every evaluated point.
-void add_sequence_search_records(kb::KnowledgeBase& base,
-                                 const std::string& name,
-                                 const ir::Module& mod,
-                                 const sim::MachineConfig& machine,
-                                 const search::SequenceSpace& space,
-                                 support::Rng& rng, unsigned budget);
-
-/// Random flag-space search (anchored at O0/FAST/FAST+ptrcompress),
-/// recording every evaluated point.
-void add_flag_search_records(kb::KnowledgeBase& base, const std::string& name,
-                             const ir::Module& mod,
-                             const sim::MachineConfig& machine,
-                             support::Rng& rng, unsigned budget);
 
 /// Full training period over a suite — profile + sequence + flag records
 /// per program, streamed to `sink` as each experiment completes.

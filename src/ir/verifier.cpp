@@ -139,9 +139,4 @@ std::string verify(const Module& mod) {
   return "";
 }
 
-void verify_or_throw(const Module& mod) {
-  const std::string err = verify(mod);
-  ILC_CHECK_MSG(err.empty(), err);
-}
-
 }  // namespace ilc::ir

@@ -19,7 +19,4 @@ inline constexpr unsigned kMaxRegs = 1u << 16;
 std::string verify(const Function& fn, const Module& mod);
 std::string verify(const Module& mod);
 
-/// Throws support::CheckError on failure.
-void verify_or_throw(const Module& mod);
-
 }  // namespace ilc::ir

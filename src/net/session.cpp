@@ -201,11 +201,6 @@ bool Session::idle() const {
   return unready_ == 0;
 }
 
-std::size_t Session::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unready_;
-}
-
 bool Session::barrier_pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return barriers_ > 0;

@@ -98,9 +98,6 @@ class Session : public std::enable_shared_from_this<Session> {
   /// nothing *pending*, there may be ready output to drain).
   bool idle() const;
 
-  /// Slots not yet ready (in-flight tunes).
-  std::size_t pending() const;
-
   /// A metrics/save barrier is still waiting or executing. The stdin
   /// transport blocks on it (wait_all) to keep the historical behaviour
   /// of not reading past a sync point; the TCP transport never blocks.

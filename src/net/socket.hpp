@@ -1,5 +1,6 @@
-// ilc::net sockets — the thin POSIX layer under the epoll front-end: an
-// RAII fd, nonblocking loopback TCP listen/connect helpers, and
+// ilc::net sockets — the thin POSIX layer under both socket shapes of
+// ilc::net, the epoll front-end and the blocking transport: an RAII fd,
+// nonblocking loopback TCP listen/connect helpers, and
 // fault-injectable read/write wrappers. Everything above this file talks
 // in terms of these helpers, so the `net.accept` / `net.read` /
 // `net.write` failpoints make disconnects, resets, and short writes
@@ -90,9 +91,9 @@ IoResult write_some(int fd, const char* buf, std::size_t n);
 /// poll(2) for readability / writability with a millisecond timeout
 /// (negative = wait forever). True when the fd became ready (including
 /// error/hup readiness — the next read/write reports the real status);
-/// false on timeout. For the blocking-style loops of the replication
-/// transport, which runs on dedicated threads rather than the epoll
-/// event loop.
+/// false on timeout. For the blocking side of ilc::net (blocking.hpp),
+/// whose sessions run on dedicated threads rather than the epoll event
+/// loop.
 bool wait_readable(int fd, int timeout_ms);
 bool wait_writable(int fd, int timeout_ms);
 

@@ -8,93 +8,42 @@ namespace ilc::repl {
 
 namespace {
 
-/// Write the whole buffer, waiting out short writes and EAGAIN. False on
-/// a hard error or a stop request.
-bool write_all(int fd, const std::string& data, const std::atomic<bool>& stop,
-               int timeout_ms) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    if (stop.load(std::memory_order_relaxed)) return false;
-    const net::IoResult r =
-        net::write_some(fd, data.data() + off, data.size() - off);
-    if (r.status == net::IoStatus::Ok) {
-      off += r.bytes;
-      continue;
-    }
-    if (r.status == net::IoStatus::WouldBlock) {
-      net::wait_writable(fd, timeout_ms);
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-struct ActiveGuard {
-  explicit ActiveGuard(std::atomic<std::size_t>& n) : n_(n) { ++n_; }
-  ~ActiveGuard() { --n_; }
-  std::atomic<std::size_t>& n_;
-};
+/// How often a ship session re-reads the leader's WAL for new frames.
+constexpr int kPollMs = 20;
+/// ShipClient: backoff between connection attempts.
+constexpr int kReconnectMs = 50;
+/// ShipClient: connect timeout and per-wait read poll, which bounds how
+/// long stop() waits for the client.
+constexpr int kIoTimeoutMs = 200;
 
 }  // namespace
 
 // ---- ShipServer ----------------------------------------------------------
 
 std::unique_ptr<ShipServer> ShipServer::start(std::string dir,
-                                              std::uint16_t port,
-                                              ShipServerOptions opts) {
+                                              std::uint16_t port) {
   auto s = std::unique_ptr<ShipServer>(new ShipServer());
   s->dir_ = std::move(dir);
-  s->opts_ = opts;
-  try {
-    s->listen_ = net::listen_tcp(port, s->port_);
-  } catch (const std::exception&) {
-    return nullptr;
-  }
-  s->acceptor_ = std::thread(&ShipServer::accept_loop, s.get());
+  const ShipServer* self = s.get();
+  s->listener_ = net::Listener::start(
+      port, [self](net::Fd fd, const std::atomic<bool>& stop) {
+        self->session(std::move(fd), stop);
+      });
+  if (!s->listener_) return nullptr;
   return s;
 }
 
-ShipServer::~ShipServer() { stop(); }
-
-void ShipServer::stop() {
-  if (stop_.exchange(true)) return;
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads.swap(threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
-  listen_.reset();
-}
-
-void ShipServer::accept_loop() {
-  while (!stop_.load()) {
-    if (!net::wait_readable(listen_.get(), 50)) continue;
-    bool dropped = false;
-    net::Fd conn = net::accept_conn(listen_.get(), &dropped);
-    if (!conn.valid()) continue;
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads_.emplace_back(&ShipServer::session, this, std::move(conn));
-  }
-}
-
-void ShipServer::session(net::Fd fd) {
-  ActiveGuard guard(active_);
-  const int interval = opts_.poll_interval_ms;
-
+void ShipServer::session(net::Fd fd, const std::atomic<bool>& stop) const {
   // Phase 1: read the follower's Hello.
   MsgReader reader;
   Msg hello;
   char buf[4096];
   for (;;) {
-    if (stop_.load()) return;
+    if (stop.load()) return;
     const MsgReader::Status st = reader.next(hello);
     if (st == MsgReader::Status::Ok) break;
     if (st == MsgReader::Status::Corrupt) return;
-    if (!net::wait_readable(fd.get(), interval)) continue;
+    if (!net::wait_readable(fd.get(), kPollMs)) continue;
     const net::IoResult r = net::read_some(fd.get(), buf, sizeof buf);
     if (r.status == net::IoStatus::Ok)
       reader.feed({buf, r.bytes});
@@ -107,12 +56,14 @@ void ShipServer::session(net::Fd fd) {
   std::string out;
   std::string why;
   if (!src.handshake(hello, out, &why)) {
-    write_all(fd.get(), out, stop_, interval);
+    net::write_all(fd.get(), out, net::kNoDeadline, &stop);
     return;
   }
 
-  // Phase 3: stream until the follower drops or we stop.
-  while (!stop_.load()) {
+  // Phase 3: stream until the follower drops or we stop. Writes have no
+  // deadline: a slow follower is waited on, because cutting a large
+  // snapshot short would only make it start over.
+  while (!stop.load()) {
     out.clear();
     if (!src.poll(out)) return;
     if (!out.empty()) {
@@ -120,14 +71,16 @@ void ShipServer::session(net::Fd fd) {
       // follower's MsgReader is left holding an undecodable tail it
       // drops on reconnect — no partial frame ever reaches its store.
       if (out.size() > 8 && support::failpoint("repl.ship")) {
-        write_all(fd.get(), out.substr(0, out.size() / 2), stop_, interval);
+        net::write_all(fd.get(),
+                       std::string_view(out).substr(0, out.size() / 2),
+                       net::kNoDeadline, &stop);
         return;
       }
-      if (!write_all(fd.get(), out, stop_, interval)) return;
+      if (!net::write_all(fd.get(), out, net::kNoDeadline, &stop)) return;
     }
     // Idle wait doubles as peer-death detection: the follower never
     // speaks after its Hello, so readability means EOF or an error.
-    if (net::wait_readable(fd.get(), interval)) {
+    if (net::wait_readable(fd.get(), kPollMs)) {
       const net::IoResult r = net::read_some(fd.get(), buf, sizeof buf);
       if (r.status == net::IoStatus::Eof ||
           r.status == net::IoStatus::Error)
@@ -139,12 +92,10 @@ void ShipServer::session(net::Fd fd) {
 // ---- ShipClient ----------------------------------------------------------
 
 std::unique_ptr<ShipClient> ShipClient::start(Applier& applier,
-                                              std::uint16_t leader_port,
-                                              ShipClientOptions opts) {
+                                              std::uint16_t leader_port) {
   auto c = std::unique_ptr<ShipClient>(new ShipClient());
   c->applier_ = &applier;
   c->port_ = leader_port;
-  c->opts_ = opts;
   c->thread_ = std::thread(&ShipClient::run, c.get());
   return c;
 }
@@ -155,11 +106,6 @@ void ShipClient::stop() {
   stop_.store(true);
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-}
-
-std::string ShipClient::last_error() const {
-  std::lock_guard<std::mutex> lk(err_mu_);
-  return last_error_;
 }
 
 bool ShipClient::sleep_for_ms(int ms) {
@@ -175,12 +121,11 @@ void ShipClient::run() {
       stopped_.store(true);
       return;
     }
-    net::Fd fd = net::connect_tcp(port_);
+    net::Fd fd = net::connect_within(port_, kIoTimeoutMs);
     if (fd.valid()) {
-      net::wait_writable(fd.get(), opts_.io_timeout_ms);
       std::string h;
       encode_msg(h, applier_->hello());
-      if (write_all(fd.get(), h, stop_, opts_.io_timeout_ms)) {
+      if (net::write_all(fd.get(), h, net::kNoDeadline, &stop_)) {
         connects_.fetch_add(1);
         if (session_once(fd.get())) {
           stopped_.store(true);
@@ -188,37 +133,25 @@ void ShipClient::run() {
         }
       }
     }
-    if (!sleep_for_ms(opts_.reconnect_ms)) return;
+    if (!sleep_for_ms(kReconnectMs)) return;
   }
 }
 
 bool ShipClient::session_once(int fd) {
-  const auto set_error = [this](std::string e) {
-    std::lock_guard<std::mutex> lk(err_mu_);
-    last_error_ = std::move(e);
-  };
   MsgReader reader;
   char buf[65536];
   while (!stop_.load()) {
-    if (!net::wait_readable(fd, opts_.io_timeout_ms)) continue;
+    if (!net::wait_readable(fd, kIoTimeoutMs)) continue;
     const net::IoResult r = net::read_some(fd, buf, sizeof buf);
     if (r.status == net::IoStatus::WouldBlock) continue;
-    if (r.status != net::IoStatus::Ok) {
-      set_error("connection lost");
-      return false;
-    }
+    if (r.status != net::IoStatus::Ok) return false;  // connection lost
     reader.feed({buf, r.bytes});
     Msg m;
     for (;;) {
       const MsgReader::Status st = reader.next(m);
       if (st == MsgReader::Status::NeedMore) break;
-      if (st == MsgReader::Status::Corrupt) {
-        set_error("corrupt replication stream");
-        return false;
-      }
-      std::string why;
-      if (!applier_->apply(m, &why)) {
-        set_error(why);
+      if (st == MsgReader::Status::Corrupt) return false;
+      if (!applier_->apply(m)) {
         // Split-brain verdicts are final; anything else (a gap after a
         // missed batch, a stale replay) is repositioned by the next
         // handshake.

@@ -1,13 +1,14 @@
 // repl transport — WAL shipping over loopback TCP, built on the blocking
-// poll helpers of ilc::net rather than the epoll event loop: replication
-// sessions are few (one per follower) and long-lived, so a dedicated
-// thread per session is the simple, obviously-correct shape.
+// side of ilc::net (net/blocking.hpp) rather than the epoll event loop:
+// replication sessions are few (one per follower) and long-lived, so a
+// dedicated thread per session is the simple, obviously-correct shape.
 //
-//   ShipServer  runs next to a leader store: accepts follower
-//               connections, answers each Hello with a per-session
-//               ShipSource, then streams Snapshot/Frames/Heartbeat until
-//               the follower drops or the server stops. A split-brain
-//               follower gets its Reject and the connection is closed.
+//   ShipServer  runs next to a leader store: a net::Listener accepts
+//               follower connections, and each session answers the
+//               follower's Hello with its own ShipSource, then streams
+//               Snapshot/Frames/Heartbeat until the follower drops or the
+//               server stops. A split-brain follower gets its Reject and
+//               the connection is closed.
 //
 //   ShipClient  runs next to a follower's Applier: connects (and
 //               reconnects — leader restarts are expected), sends the
@@ -32,54 +33,35 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "net/socket.hpp"
+#include "net/blocking.hpp"
 #include "repl/applier.hpp"
 #include "repl/ship.hpp"
 
 namespace ilc::repl {
-
-struct ShipServerOptions {
-  /// How often each session re-reads the leader's WAL for new frames.
-  int poll_interval_ms = 20;
-};
 
 class ShipServer {
  public:
   /// Listen on 127.0.0.1:`port` (0 = ephemeral) and serve the store at
   /// `dir`. Returns nullptr when the port cannot be bound.
   static std::unique_ptr<ShipServer> start(std::string dir,
-                                           std::uint16_t port,
-                                           ShipServerOptions opts = {});
-  ~ShipServer();
+                                           std::uint16_t port);
 
-  std::uint16_t port() const { return port_; }
-  /// Follower sessions currently streaming.
-  std::size_t sessions() const { return active_.load(); }
+  ShipServer(const ShipServer&) = delete;
+  ShipServer& operator=(const ShipServer&) = delete;
 
-  void stop();
+  std::uint16_t port() const { return listener_->port(); }
+
+  /// Stop accepting and end every session (joins them).
+  void stop() { listener_->stop(); }
 
  private:
   ShipServer() = default;
-  void accept_loop();
-  void session(net::Fd fd);
+  void session(net::Fd fd, const std::atomic<bool>& stop) const;
 
   std::string dir_;
-  ShipServerOptions opts_;
-  net::Fd listen_;
-  std::uint16_t port_ = 0;
-
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> active_{0};
-  std::thread acceptor_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;  // session threads, joined on stop
-};
-
-struct ShipClientOptions {
-  int reconnect_ms = 50;    ///< backoff between connection attempts
-  int io_timeout_ms = 200;  ///< per-wait poll timeout (stop latency bound)
+  // Declared last, so it is destroyed first: its sessions read dir_.
+  std::unique_ptr<net::Listener> listener_;
 };
 
 class ShipClient {
@@ -87,8 +69,7 @@ class ShipClient {
   /// Start replicating into `applier` from the leader at 127.0.0.1:
   /// `leader_port`. The Applier must outlive the client.
   static std::unique_ptr<ShipClient> start(Applier& applier,
-                                           std::uint16_t leader_port,
-                                           ShipClientOptions opts = {});
+                                           std::uint16_t leader_port);
   ~ShipClient();
 
   /// Permanently stopped: the leader rejected us (split-brain). The
@@ -97,8 +78,6 @@ class ShipClient {
   /// Successful connections so far (tests watch this across a leader
   /// restart).
   std::uint64_t connects() const { return connects_.load(); }
-  /// Last session-ending error, for logs ("" = none yet).
-  std::string last_error() const;
 
   void stop();
 
@@ -111,13 +90,10 @@ class ShipClient {
 
   Applier* applier_ = nullptr;
   std::uint16_t port_ = 0;
-  ShipClientOptions opts_;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> connects_{0};
-  mutable std::mutex err_mu_;
-  std::string last_error_;
   std::mutex cv_mu_;
   std::condition_variable cv_;
   std::thread thread_;

@@ -12,9 +12,4 @@ BranchPredictor::BranchPredictor(std::uint32_t entries) {
   }
 }
 
-void BranchPredictor::clear() {
-  for (auto& c : table_) c = 2;
-  history_ = 0;
-}
-
 }  // namespace ilc::sim

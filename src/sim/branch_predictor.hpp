@@ -34,7 +34,6 @@ class BranchPredictor {
     history_ = (history_ << 1) | (taken ? 1 : 0);
   }
 
-  void clear();
   bool is_static() const { return table_.empty(); }
 
  private:

@@ -1,7 +1,5 @@
 #include "sim/decoded_program.hpp"
 
-#include <algorithm>
-
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 
@@ -26,26 +24,11 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
     total += bb.insts.size();
   }
   out.code.reserve(total);
-  out.blocks.reserve(fn.blocks.size());
-
-  // Scratch for the per-block register-pressure count.
-  std::vector<std::uint8_t> touched(fn.num_regs, 0);
 
   for (ir::BlockId block = 0; block < fn.blocks.size(); ++block) {
     const ir::BasicBlock& bb = fn.blocks[block];
     ILC_CHECK_MSG(!bb.insts.empty() && ir::is_terminator(bb.insts.back()),
                   "decode: block without terminator in " << fn.name);
-
-    Superblock sb;
-    sb.entry = out.block_entry[block];
-    sb.len = static_cast<std::uint32_t>(bb.insts.size());
-    std::fill(touched.begin(), touched.end(), 0);
-    auto touch = [&](ir::Reg r) {
-      if (r < fn.num_regs && !touched[r]) {
-        touched[r] = 1;
-        ++sb.reg_pressure;
-      }
-    };
 
     for (std::size_t ip = 0; ip < bb.insts.size(); ++ip) {
       const ir::Instr& inst = bb.insts[ip];
@@ -64,21 +47,13 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
       std::array<ir::Reg, 2 + ir::kMaxCallArgs> uses;
       unsigned nu = 0;
       ir::append_uses(inst, uses, nu);
-      sb.use_count += nu;
-      for (unsigned u = 0; u < nu; ++u) {
+      for (unsigned u = 0; u < nu; ++u)
         ILC_CHECK_MSG(uses[u] < fn.num_regs,
                       "decode: register out of range in " << fn.name);
-        touch(uses[u]);
-      }
       ILC_CHECK_MSG(!d.has_dst() || d.dst < fn.num_regs,
                     "decode: dst register out of range in " << fn.name);
-      if (d.has_dst()) touch(d.dst);
 
       switch (inst.op) {
-        case ir::Opcode::Load:
-        case ir::Opcode::Store:
-          ++sb.mem_ops;
-          break;
         case ir::Opcode::GlobalAddr:
           // The handler resolves the base against the Simulator's image
           // without a bounds check; keep the id in the hot immediate slot.
@@ -93,7 +68,6 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
           ILC_CHECK_MSG(callee.num_args <= ir::kMaxCallArgs,
                         "decode: callee arity exceeds kMaxCallArgs in "
                             << fn.name);
-          ++sb.calls;
           d.t1 = inst.callee;
           d.t2 = static_cast<std::uint32_t>(out.callsites.size());
           CallSite cs;
@@ -124,11 +98,6 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
       }
       out.code.push_back(d);
     }
-
-    const DecodedInstr& term = out.code.back();
-    sb.terminator = term.op;
-    sb.ends_backward = term.op == ir::Opcode::Br && term.backward();
-    out.blocks.push_back(sb);
   }
   return out;
 }

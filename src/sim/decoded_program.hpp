@@ -7,13 +7,13 @@
 // fn.blocks[block].insts[ip].
 //
 // DecodedProgram flattens a module once into contiguous per-function
-// instruction arrays with all of that precomputed, and fuses each basic
-// block into a *superblock*: a straight-line superinstruction run whose
-// aggregate facts (length, register pressure, use counts, terminator and
-// branch metadata) are decoded once per block. The execution engine
-// exploits the fusion by accounting instruction retirement and the budget
-// guard per run instead of per instruction — everything between two
-// control transfers is known straight-line code at decode time.
+// instruction arrays with all of that precomputed. Each basic block
+// becomes a *superblock*: a straight-line run laid out back to back with
+// its neighbours and ended by its terminator. The execution engine
+// exploits that by accounting instruction retirement and the budget guard
+// per run instead of per instruction: at the control transfer that ends a
+// run it retires the whole run at once, counted from its start pointer,
+// with no per-block table.
 //
 // Layout is split hot/cold for locality. The per-instruction DecodedInstr
 // is packed to 32 bytes (two per cache line; the previous layout was 112
@@ -21,10 +21,9 @@
 // opcode, flags, access width, three registers, a 64-bit immediate, and
 // two 32-bit targets. Everything an opcode handler does not touch on the
 // hot path lives elsewhere: call argument lists in a per-function CallSite
-// side table (reached through the instruction's t2 slot), per-block
-// metadata in the Superblock array, names and frame sizes in
-// DecodedFunction. Field roles are overloaded per opcode so nothing hot
-// leaves the 32 bytes:
+// side table (reached through the instruction's t2 slot), names and frame
+// sizes in DecodedFunction. Field roles are overloaded per opcode so
+// nothing hot leaves the 32 bytes:
 //   Br         imm = precomputed branch identity, t1/t2 = flat targets
 //   GlobalAddr imm = global id
 //   Call       t1 = callee function id, t2 = CallSite index
@@ -96,23 +95,8 @@ struct CallSite {
   std::array<ir::Reg, ir::kMaxCallArgs> args{};
 };
 
-/// One fused straight-line run == one source basic block, with its
-/// aggregate facts decoded once. The execution engine uses `len` for
-/// run-granular retirement/budget accounting; the rest (pressure, use
-/// counts, terminator shape) is scheduler/analysis-facing metadata.
-struct Superblock {
-  std::uint32_t entry = 0;  // flat offset of the first instruction
-  std::uint32_t len = 0;    // instructions including the terminator
-  std::uint32_t use_count = 0;     // register sources read (incl. call args)
-  std::uint32_t reg_pressure = 0;  // distinct registers referenced
-  std::uint32_t mem_ops = 0;       // loads + stores
-  std::uint32_t calls = 0;
-  ir::Opcode terminator = ir::Opcode::Ret;
-  bool ends_backward = false;  // terminator is a loop-shaped Br
-};
-
 /// One function, flattened: blocks concatenated in layout order, plus the
-/// cold side tables.
+/// cold side table.
 struct DecodedFunction {
   std::string name;  // owned copy; traps must not dangle into the module
   unsigned num_args = 0;
@@ -121,7 +105,6 @@ struct DecodedFunction {
 
   std::vector<DecodedInstr> code;
   std::vector<std::uint32_t> block_entry;  // flat offset of each block
-  std::vector<Superblock> blocks;          // one per source basic block
   std::vector<CallSite> callsites;         // indexed by Call.t2
 };
 

@@ -138,12 +138,6 @@ void Simulator::switch_module(const ir::Module& next) {
   decoded_ = nullptr;  // the next engine call fetches `next`'s decoding
 }
 
-void Simulator::clear_microarch_state() {
-  l1_.clear();
-  l2_.clear();
-  bpred_.clear();
-}
-
 void Simulator::bounds_check(std::uint64_t addr, unsigned bytes) const {
   if (addr < ir::MemoryImage::kNullGuard ||
       addr + bytes > image_.bytes.size()) {
@@ -170,22 +164,6 @@ void Simulator::store_value(std::uint64_t addr, std::int64_t value,
   const auto v = static_cast<std::uint64_t>(value);
   for (unsigned i = 0; i < bytes; ++i)
     image_.bytes[addr + i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::int64_t Simulator::read_memory(std::uint64_t addr, unsigned bytes) const {
-  bounds_check(addr, bytes);
-  return load_value(addr, bytes, /*is_ptr=*/false);
-}
-
-void Simulator::write_memory(std::uint64_t addr, std::int64_t value,
-                             unsigned bytes) {
-  bounds_check(addr, bytes);
-  store_value(addr, value, bytes);
-}
-
-std::uint64_t Simulator::global_base(ir::GlobalId gid) const {
-  ILC_CHECK(gid < image_.global_base.size());
-  return image_.global_base[gid];
 }
 
 std::uint32_t Simulator::mem_access(std::uint64_t addr, bool is_write) {
@@ -467,7 +445,7 @@ RunResult Simulator::interpret(FuncId fn_id,
 
 // --- the engine ------------------------------------------------------------
 //
-// Semantics are a transliteration of interpret() over the packed superblock
+// Semantics are a transliteration of interpret() over the packed instruction
 // arrays; any divergence in results, cycles, or counters is a bug
 // (differential-tested in tests/test_sim_decoded.cpp). The superblock
 // fusion shows up as *run-granular* bookkeeping: straight-line handlers

@@ -7,7 +7,7 @@
 // what the dynamic-optimization module needs to audit code versions
 // across execution intervals.
 //
-// call()/run() execute a sim::DecodedProgram (flat pre-decoded superblock
+// call()/run() execute a sim::DecodedProgram (flat pre-decoded instruction
 // arrays shared through the process-wide ProgramCache) with computed-goto
 // threaded dispatch. That is the only engine; every production caller
 // runs it.
@@ -78,9 +78,6 @@ class Simulator {
   const Counters& counters() const { return total_; }
   void reset_counters() { total_ = Counters{}; }
 
-  /// Reset caches and predictor to cold state (memory is untouched).
-  void clear_microarch_state();
-
   /// Swap in a different module (e.g. a re-optimized code version) while
   /// keeping memory, caches, and predictor state — the multi-versioning
   /// primitive of the dynamic-optimization module. The new module must
@@ -88,10 +85,6 @@ class Simulator {
   /// width); throws otherwise. The caller must keep `next` alive.
   void switch_module(const ir::Module& next);
 
-  /// Direct memory access, used by tests and workload validators.
-  std::int64_t read_memory(std::uint64_t addr, unsigned bytes) const;
-  void write_memory(std::uint64_t addr, std::int64_t value, unsigned bytes);
-  std::uint64_t global_base(ir::GlobalId gid) const;
   const MachineConfig& config() const { return cfg_; }
   const ir::Module& module() const { return *mod_; }
 

@@ -1,5 +1,6 @@
 #include "support/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 
@@ -61,25 +62,22 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t threads) {
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  const std::size_t n = end - begin;
-  if (threads == 1 || n == 1) {
+  const std::size_t threads =
+      pool == nullptr ? 1 : std::min(pool->size(), end - begin);
+  if (threads <= 1) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
+  // Pool workers have no handler of their own, so each iteration catches
+  // its exception; the first one resurfaces after the batch.
   std::atomic<std::size_t> next{begin};
   std::exception_ptr first_error;
   std::mutex error_mu;
-
-  auto body = [&] {
+  const auto body = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= end) return;
@@ -91,39 +89,8 @@ void parallel_for(std::size_t begin, std::size_t end,
       }
     }
   };
-
-  std::vector<std::thread> pool;
-  const std::size_t spawned = std::min(threads, n) - 1;
-  pool.reserve(spawned);
-  for (std::size_t t = 0; t < spawned; ++t) pool.emplace_back(body);
+  for (std::size_t t = 1; t < threads; ++t) pool->submit([&body] { body(); });
   body();
-  for (auto& t : pool) t.join();
-
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  if (pool == nullptr || pool->size() <= 1 || end - begin == 1) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-
-  // Jobs run on pool workers whose loop has no handler, so each job must
-  // swallow its own exception; the first one re-surfaces after the batch.
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  for (std::size_t i = begin; i < end; ++i) {
-    pool->submit([&fn, &first_error, &error_mu, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
   pool->wait_idle();
   if (first_error) std::rethrow_exception(first_error);
 }

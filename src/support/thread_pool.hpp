@@ -2,10 +2,10 @@
 //
 // The simulator itself is single-threaded and deterministic; parallelism in
 // this project lives entirely in the experiment harnesses, which evaluate
-// many independent (sequence, program) pairs. parallel_for partitions an
-// index range across worker threads; with hardware_concurrency() == 1 it
-// degrades gracefully to an inline loop, so results never depend on the
-// thread count.
+// many independent (sequence, program) pairs. parallel_for spreads an
+// index range over a caller-owned pool plus the calling thread; with a
+// single worker it degrades to an inline loop, so results never depend on
+// the thread count.
 #pragma once
 
 #include <condition_variable>
@@ -47,18 +47,14 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Apply fn(i) for i in [begin, end) using up to `threads` workers.
-/// fn must be safe to call concurrently for distinct i. Exceptions thrown
-/// by fn propagate (the first one captured) after all iterations finish.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t threads = 0);
-
-/// Same contract, but running on a caller-owned pool so repeated batches
-/// (e.g. one per GA generation) reuse warm worker threads instead of
-/// spawning fresh ones. A null pool, or one with a single worker, runs the
-/// loop inline. The pool must carry no other jobs: wait_idle() is the
-/// batch barrier.
+/// Apply fn(i) for i in [begin, end), fn safe to call concurrently for
+/// distinct i. Indices come from a shared counter; the caller takes part,
+/// and at most pool->size() threads run iterations, so repeated batches
+/// (one per GA generation) reuse warm workers. The first exception thrown,
+/// by the caller's iterations or a worker's, is rethrown after every
+/// iteration has finished. A null pool, a one-worker pool or a one-index
+/// range runs the loop inline, where an exception ends it at once. The
+/// pool must carry no other jobs: wait_idle() is the batch barrier.
 void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 

@@ -125,10 +125,6 @@ bool ResultCache::save(const std::string& path) const {
 
 bool ResultCache::sync() const { return store_ ? store_->sync() : true; }
 
-kb::KnowledgeBase ResultCache::kb() const {
-  return store_ ? store_->export_kb() : base_;
-}
-
 std::size_t ResultCache::size() const {
   return store_ ? store_->size() : base_.size();
 }

@@ -58,8 +58,6 @@ class ResultCache {
       const std::string& path, kbstore::Options opts = {},
       kbstore::RecoveryInfo* info = nullptr);
 
-  bool durable() const { return store_ != nullptr; }
-
   /// The canonical cache key for a module fingerprint + objective.
   static std::string key(std::uint64_t fingerprint,
                          search::Objective objective);
@@ -87,7 +85,6 @@ class ResultCache {
   /// In-memory mode: no-op, true.
   bool sync() const;
 
-  kb::KnowledgeBase kb() const;
   std::size_t size() const;
 
  private:

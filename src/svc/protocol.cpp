@@ -7,15 +7,6 @@
 
 namespace ilc::svc {
 
-const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::Random: return "random";
-    case Strategy::Greedy: return "greedy";
-    case Strategy::Genetic: return "genetic";
-  }
-  return "?";
-}
-
 const char* source_name(Source s) {
   switch (s) {
     case Source::Error: return "error";

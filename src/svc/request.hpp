@@ -17,8 +17,6 @@ namespace ilc::svc {
 /// Which search strategy a miss should run.
 enum class Strategy { Random, Greedy, Genetic };
 
-const char* strategy_name(Strategy s);
-
 struct TuningRequest {
   /// Workload name (wl::make_workload) when ir_text is empty; otherwise a
   /// label for the inline module.

@@ -625,8 +625,7 @@ void TuningService::run_one() {
 bool TuningService::save() const {
   if (opts_.kb_path.empty()) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  if (cache_.durable()) return cache_.sync();
-  return cache_.save(opts_.kb_path);
+  return cache_.sync();  // a kb_path always opens a durable store
 }
 
 bool TuningService::save_to(const std::string& path) const {

@@ -135,8 +135,8 @@ class TuningService {
   std::size_t seed_bank_programs() const { return seed_bank_.num_programs(); }
   /// Evaluators currently cached (bounded by Options::evaluator_cache).
   std::size_t evaluator_count() const;
-  /// Make the KB durable at Options::kb_path: syncs the store's WAL
-  /// (durable mode) or writes the CSV file. False when none configured.
+  /// Make the KB durable at Options::kb_path: syncs the store's WAL.
+  /// False when none configured.
   bool save() const;
   /// Export the KB to an explicit path in the legacy CSV format.
   bool save_to(const std::string& path) const;

@@ -5,14 +5,16 @@
 // generation with followers re-pointed and byte-identical, the
 // resurrected old leader refused on both planes (WAL generation by the
 // split-brain handshake, registry re-announcement by the epoch fence),
-// clients observing the epoch bump, and scatter-gather degrading to an
-// explicit partial result while a shard is dark. Failures are injected
+// clients observing the epoch bump, a registry server that retires each
+// connection's session thread as it ends, and scatter-gather degrading to
+// an explicit partial result while a shard is dark. Failures are injected
 // (support::failpoint, dead ports, killed servers), never timed.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -507,6 +509,49 @@ TEST(ClusterRegistry, ClientsObserveTheEpochBumpOverTheWire) {
   ASSERT_TRUE(observer.refresh(&err)) << err;
   EXPECT_EQ(observer.router_shards()[0].primary, follower0);
 
+  server->stop();
+}
+
+/// Lines of /proc/self/maps, one per mapping. A thread that returned but
+/// was never joined keeps its stack and guard page: two mappings.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(ClusterRegistry, SequentialConnectionsRetireTheirSessionThreads) {
+  obs::Registry metrics;
+  cluster::Registry registry(1, &metrics);
+  auto server = cluster::RegistryServer::start(registry, 0);
+  ASSERT_TRUE(server);
+  // Each refresh() with nothing new is one `epoch` request on its own
+  // connection, so each runs on a fresh session thread.
+  cluster::RegistryClient client({"127.0.0.1", server->port()});
+  std::string err;
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(client.refresh(&err)) << err;
+  const std::size_t before = mapping_count();
+
+  constexpr int kRequests = 2000;
+  for (int i = 0; i < kRequests; ++i)
+    ASSERT_TRUE(client.refresh(&err)) << err;
+
+  // Retired threads leave nothing behind; the last few sessions may
+  // still be ending, so allow a little slack and a little time. A server
+  // that kept its finished threads would hold ~2 mappings per request.
+  constexpr std::size_t kSlack = 64;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t after = mapping_count();
+  while (after > before + kSlack &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = mapping_count();
+  }
+  EXPECT_LE(after, before + kSlack)
+      << kRequests << " requests grew the mappings from " << before << " to "
+      << after;
   server->stop();
 }
 

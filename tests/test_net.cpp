@@ -3,7 +3,9 @@
 // limit, half-close, slow-reader and idle eviction, graceful-shutdown
 // drain, mid-request client disconnect, injected accept/read/write
 // faults, and the leak invariant every scenario ends on: after shutdown,
-// accepted == closed and active == 0.
+// accepted == closed and active == 0. Then the blocking transport:
+// request_line through a Listener, and the deadline and stop flag that
+// end a blocked read or write.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -19,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/blocking.hpp"
 #include "net/server.hpp"
 #include "net/session.hpp"
 #include "support/failpoint.hpp"
@@ -442,6 +446,81 @@ TEST(NetSession, QuitStopsProcessing) {
   session->feed_line("quit");
   EXPECT_TRUE(session->quit_requested());
   EXPECT_TRUE(session->idle());
+}
+
+// --- the blocking transport ----------------------------------------------
+
+TEST(NetBlocking, RequestLineRoundTripsThroughTheListener) {
+  auto listener = net::Listener::start(
+      0, [](net::Fd fd, const std::atomic<bool>& stop) {
+        net::LineReader reader(fd.get());
+        std::string line;
+        std::string err;
+        while (!stop.load()) {
+          if (!reader.next(line, 20, &err)) {
+            if (err == "read timeout") continue;
+            return;
+          }
+          if (!net::write_all(fd.get(), "echo " + line + "\n", 1000)) return;
+        }
+      });
+  ASSERT_TRUE(listener);
+  const std::uint16_t port = listener->port();
+  std::string reply;
+  std::string err;
+  ASSERT_TRUE(net::request_line(port, "hello", 2000, reply, &err)) << err;
+  EXPECT_EQ(reply, "echo hello");
+  // A fresh connection per exchange; a supplied terminator is kept as is.
+  ASSERT_TRUE(net::request_line(port, "again\n", 2000, reply, &err)) << err;
+  EXPECT_EQ(reply, "echo again");
+
+  listener->stop();
+  EXPECT_FALSE(net::request_line(port, "late", 200, reply, &err));
+}
+
+TEST(NetBlocking, SilentPeerCostsTheDeadlineNotAHang) {
+  // The session accepts and never answers; only stop() ends it.
+  auto listener = net::Listener::start(
+      0, [](net::Fd, const std::atomic<bool>& stop) {
+        while (!stop.load())
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      });
+  ASSERT_TRUE(listener);
+  std::string reply;
+  std::string err;
+  const Clock::time_point t0 = Clock::now();
+  EXPECT_FALSE(net::request_line(listener->port(), "ping", 100, reply, &err));
+  EXPECT_EQ(err, "read timeout");
+  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(90));
+  listener->stop();  // returns: the session polls the flag
+}
+
+TEST(NetBlocking, WriteAllEndsOnItsDeadlineOrOnStop) {
+  // A peer that never reads, and more bytes than the socket buffers hold.
+  std::atomic<int> timed_out{-1};
+  std::atomic<int> stopped{-1};
+  auto listener = net::Listener::start(
+      0, [&](net::Fd fd, const std::atomic<bool>& stop) {
+        const std::string big(32u << 20, 'x');
+        std::string err;
+        // Control-plane shape: the deadline ends the write.
+        timed_out = !net::write_all(fd.get(), big, 50, nullptr, &err) &&
+                    err == "write timeout";
+        // Shipping shape: no deadline, so only stop() ends the write.
+        stopped =
+            !net::write_all(fd.get(), big, net::kNoDeadline, &stop, &err) &&
+            err == "stopped";
+      });
+  ASSERT_TRUE(listener);
+  std::string err;
+  net::Fd peer = net::connect_within(listener->port(), 2000, &err);
+  ASSERT_TRUE(peer.valid()) << err;
+  ASSERT_TRUE(wait_until([&] { return timed_out.load() != -1; }));
+  EXPECT_EQ(timed_out.load(), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(stopped.load(), -1);  // still waiting on the peer
+  listener->stop();
+  EXPECT_EQ(stopped.load(), 1);
 }
 
 }  // namespace

@@ -487,11 +487,8 @@ TEST(ReplTcp, TwoFollowersConvergeAndSurviveLeaderRestart) {
   auto a1 = repl::Applier::open(f1.path);
   auto a2 = repl::Applier::open(f2.path);
   ASSERT_TRUE(a1 && a2);
-  repl::ShipClientOptions copts;
-  copts.reconnect_ms = 20;
-  copts.io_timeout_ms = 50;
-  auto c1 = repl::ShipClient::start(*a1, port, copts);
-  auto c2 = repl::ShipClient::start(*a2, port, copts);
+  auto c1 = repl::ShipClient::start(*a1, port);
+  auto c2 = repl::ShipClient::start(*a2, port);
   ASSERT_TRUE(wait_position(leader.path, *a1, 15000));
   ASSERT_TRUE(wait_position(leader.path, *a2, 15000));
   EXPECT_EQ(repl::divergence(leader.path, f1.path), std::nullopt);
@@ -529,10 +526,7 @@ TEST(ReplTcp, TornTcpShipIsReconnectedAndConverges) {
   ASSERT_TRUE(ship);
   auto a = repl::Applier::open(follower.path);
   ASSERT_TRUE(a);
-  repl::ShipClientOptions copts;
-  copts.reconnect_ms = 20;
-  copts.io_timeout_ms = 50;
-  auto c = repl::ShipClient::start(*a, ship->port(), copts);
+  auto c = repl::ShipClient::start(*a, ship->port());
   ASSERT_TRUE(wait_position(leader.path, *a, 15000));
   EXPECT_EQ(repl::divergence(leader.path, follower.path), std::nullopt);
   EXPECT_GE(c->connects(), 2u);

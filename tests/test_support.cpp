@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -142,23 +144,47 @@ TEST(ThreadPool, RunsAllJobs) {
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
+  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(500);
-  parallel_for(0, 500, [&](std::size_t i) { ++hits[i]; }, 4);
+  parallel_for(&pool, 0, 500, [&](std::size_t i) { ++hits[i]; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, PropagatesException) {
-  EXPECT_THROW(
-      parallel_for(0, 10,
-                   [](std::size_t i) {
-                     if (i == 5) throw std::runtime_error("boom");
-                   },
-                   4),
-      std::runtime_error);
+  ThreadPool pool(4);
+  EXPECT_THROW(parallel_for(&pool, 0, 10,
+                            [](std::size_t i) {
+                              if (i == 5) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
-  parallel_for(5, 5, [](std::size_t) { FAIL(); }, 4);
+  ThreadPool pool(4);
+  parallel_for(&pool, 5, 5, [](std::size_t) { FAIL(); });
+}
+
+TEST(ParallelFor, CallerTakesPartOnAtMostPoolSizeThreads) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  // Workers hold each iteration until the caller has run one (or the
+  // deadline passes), so a caller that only waited on the pool shows up
+  // as caller_ran == false.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  parallel_for(&pool, 0, 64, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) caller_ran = true;
+    while (!caller_ran && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_TRUE(caller_ran);
+  EXPECT_EQ(ids.count(caller), 1u);
+  EXPECT_LE(ids.size(), pool.size());
 }
 
 TEST(ThreadPool, WaitIdleWithNoSubmittedJobsReturnsImmediately) {
@@ -185,41 +211,44 @@ TEST(ThreadPool, SingleThreadPoolRunsEveryJob) {
 }
 
 TEST(ParallelFor, SingleThreadDegradesToInlineLoop) {
-  // With threads == 1 (the hardware_concurrency()==1 path) iterations run
-  // on the calling thread, in order, with no pool spawned.
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::size_t> order;
-  parallel_for(3, 9,
-               [&](std::size_t i) {
-                 EXPECT_EQ(std::this_thread::get_id(), caller);
-                 order.push_back(i);
-               },
-               1);
-  EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8}));
+  // A one-worker pool (the hardware_concurrency()==1 configuration) and
+  // no pool at all both run the iterations on the calling thread, in
+  // order.
+  ThreadPool pool(1);
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    parallel_for(p, 3, 9, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8}));
+  }
 }
 
 TEST(ParallelFor, SingleThreadPropagatesExceptionInline) {
+  ThreadPool pool(1);
   int ran = 0;
-  EXPECT_THROW(parallel_for(0, 4,
+  EXPECT_THROW(parallel_for(&pool, 0, 4,
                             [&](std::size_t i) {
                               ++ran;
                               if (i == 1) throw std::runtime_error("inline");
-                            },
-                            1),
+                            }),
                std::runtime_error);
   EXPECT_EQ(ran, 2);  // inline loop stops at the throwing iteration
 }
 
 TEST(ParallelFor, ExceptionDoesNotPoisonLaterIterations) {
-  // Concurrent path: the first captured exception is rethrown only after
-  // every iteration finished, so all indices are still visited.
+  // Concurrent path: the first captured exception, the caller's own
+  // included, is rethrown only after every iteration finished, so all
+  // indices are still visited.
+  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
-  EXPECT_THROW(parallel_for(0, 64,
+  EXPECT_THROW(parallel_for(&pool, 0, 64,
                             [&](std::size_t i) {
                               ++hits[i];
                               if (i % 7 == 0) throw std::runtime_error("x");
-                            },
-                            4),
+                            }),
                std::runtime_error);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
