@@ -39,7 +39,6 @@
 #include "repl/applier.hpp"
 #include "repl/ship.hpp"
 #include "repl/transport.hpp"
-#include "svc/cache.hpp"
 #include "svc/service.hpp"
 #include "workloads/workloads.hpp"
 
@@ -132,13 +131,9 @@ int main() {
     f.shipping = repl::ShipClient::start(*f.applier, l.ship->port());
     svc::TuningService::Options fo;
     fo.workers = 1;
-    fo.read_only = true;
     fo.shard_index = s;
     fo.shard_count = kShards;
-    fo.follower_lookup = [&a = *f.applier](const std::string& key,
-                                           const std::string& machine) {
-      return svc::ResultCache::lookup_store(a.store(), key, machine);
-    };
+    fo.follower_store = &f.applier->store();
     f.service.emplace(fo);
     f.server.emplace(*f.service, net::ServerOptions{});
 

@@ -29,7 +29,6 @@
 #include "repl/router.hpp"
 #include "repl/ship.hpp"
 #include "repl/transport.hpp"
-#include "svc/cache.hpp"
 #include "svc/service.hpp"
 #include "workloads/workloads.hpp"
 
@@ -138,11 +137,7 @@ int main() {
   // --- read-only serving from the replica ---------------------------------
   svc::TuningService::Options fopts;
   fopts.workers = 1;
-  fopts.read_only = true;
-  fopts.follower_lookup = [&a = *f1](const std::string& key,
-                                     const std::string& machine) {
-    return svc::ResultCache::lookup_store(a.store(), key, machine);
-  };
+  fopts.follower_store = &f1->store();
   svc::TuningService follower_svc(fopts);
   std::size_t follower_hits = 0;
   for (const auto& req : requests) {

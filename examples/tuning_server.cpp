@@ -39,7 +39,6 @@
 #include "repl/applier.hpp"
 #include "repl/transport.hpp"
 #include "support/failpoint.hpp"
-#include "svc/cache.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
 
@@ -109,7 +108,7 @@ void print_drained(net::Session& session) {
 /// order as they become ready, wait out in-flight work at EOF/quit.
 int run_stdio(svc::TuningService& service, std::istream& in) {
   const std::shared_ptr<net::Session> session =
-      net::Session::create(service, {});
+      net::Session::create(service, {}, net::Session::Origin::Console);
   std::string line;
   while (std::getline(in, line)) {
     session->feed_line(line);
@@ -282,8 +281,9 @@ int main(int argc, char** argv) {
 
   // Follower mode: --kb names the replica directory. The Applier owns it
   // (follower stores are read-only), a ShipClient streams the leader's
-  // WAL into it, and the service serves it via follower_lookup with no
-  // kb_path of its own — the replicated store has exactly one writer.
+  // WAL into it, and the service answers from it as its follower_store,
+  // with no kb_path of its own — the replicated store has exactly one
+  // writer.
   std::unique_ptr<repl::Applier> applier;
   std::unique_ptr<repl::ShipClient> ship_client;
   if (follower_mode) {
@@ -304,11 +304,7 @@ int main(int argc, char** argv) {
     }
     ship_client = repl::ShipClient::start(*applier, leader_port);
     opts.kb_path.clear();
-    opts.read_only = true;
-    opts.follower_lookup = [&a = *applier](const std::string& key,
-                                           const std::string& machine) {
-      return svc::ResultCache::lookup_store(a.store(), key, machine);
-    };
+    opts.follower_store = &applier->store();
     std::fprintf(stderr, "replicating from 127.0.0.1:%u\n",
                  static_cast<unsigned>(leader_port));
   }

@@ -82,22 +82,7 @@ std::optional<sim::Counters> parse_counters(const std::string& s) {
 
 }  // namespace
 
-std::string KnowledgeBase::key_of(const std::string& program,
-                                  const std::string& machine,
-                                  const std::string& kind) {
-  std::string key;
-  key.reserve(program.size() + machine.size() + kind.size() + 2);
-  key += program;
-  key += '\x1f';
-  key += machine;
-  key += '\x1f';
-  key += kind;
-  return key;
-}
-
 void KnowledgeBase::add(ExperimentRecord rec) {
-  first_by_key_.try_emplace(key_of(rec.program, rec.machine, rec.kind),
-                            records_.size());
   records_.push_back(std::move(rec));
 }
 
@@ -116,24 +101,6 @@ const ExperimentRecord* KnowledgeBase::best_for_program(
   for (const auto* r : for_program(program, kind))
     if (best == nullptr || r->cycles < best->cycles) best = r;
   return best;
-}
-
-const ExperimentRecord* KnowledgeBase::find(const std::string& program,
-                                            const std::string& machine,
-                                            const std::string& kind) const {
-  const auto it = first_by_key_.find(key_of(program, machine, kind));
-  return it == first_by_key_.end() ? nullptr : &records_[it->second];
-}
-
-bool KnowledgeBase::upsert(ExperimentRecord rec) {
-  const auto it =
-      first_by_key_.find(key_of(rec.program, rec.machine, rec.kind));
-  if (it != first_by_key_.end()) {
-    records_[it->second] = std::move(rec);
-    return true;
-  }
-  add(std::move(rec));
-  return false;
 }
 
 std::vector<std::string> KnowledgeBase::programs() const {

@@ -4,12 +4,16 @@
 // argues for a documented standard format so tools can exchange training
 // data; ours is a versioned CSV dialect (one record per row, vector-valued
 // fields joined with ';').
+//
+// A KnowledgeBase is a plain record list in insertion order: the training
+// set of the controller, the seed bank and the figure benches, and the
+// CSV form records are imported from and exported to. Keyed lookup and
+// replacement live in kbstore::Store.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/counters.hpp"
@@ -46,19 +50,6 @@ class KnowledgeBase {
   const ExperimentRecord* best_for_program(const std::string& program,
                                            const std::string& kind = "") const;
 
-  /// The unique record for a (program, machine, kind) key, or nullptr.
-  /// Meaningful for stores maintained via upsert(), which keeps at most
-  /// one record per key.
-  const ExperimentRecord* find(const std::string& program,
-                               const std::string& machine,
-                               const std::string& kind) const;
-
-  /// Replace the record matching (program, machine, kind) in place, or
-  /// append if no match exists. Returns true when an existing record was
-  /// replaced. The serving layer uses this to keep exactly one
-  /// best-configuration record per cache key.
-  bool upsert(ExperimentRecord rec);
-
   /// Distinct program names in insertion order.
   std::vector<std::string> programs() const;
 
@@ -71,15 +62,7 @@ class KnowledgeBase {
   static std::optional<KnowledgeBase> load(const std::string& path);
 
  private:
-  static std::string key_of(const std::string& program,
-                            const std::string& machine,
-                            const std::string& kind);
-
   std::vector<ExperimentRecord> records_;
-  /// Index of the *first* record per (program, machine, kind): find() and
-  /// upsert() target that record, matching the historical linear-scan
-  /// semantics, in O(1) instead of O(n). records_ keeps insertion order.
-  std::unordered_map<std::string, std::size_t> first_by_key_;
 };
 
 }  // namespace ilc::kb

@@ -135,6 +135,10 @@ std::unique_ptr<Store> Store::open(const std::string& dir, Options opts,
   return store;
 }
 
+std::unique_ptr<Store> Store::in_memory() {
+  return std::unique_ptr<Store>(new Store("", Options{}));
+}
+
 std::string Store::key_of(const std::string& program,
                           const std::string& machine,
                           const std::string& kind) {
@@ -269,6 +273,10 @@ bool Store::apply(LogRecord&& lr) {
 bool Store::log_and_apply(LogRecord lr) {
   ILC_CHECK_MSG(!is_follower(),
                 "store is a replication follower (read-only): " + dir_);
+  if (!has_dir()) {  // in memory: the index is the whole store
+    std::lock_guard<std::mutex> lock(wal_mu_);
+    return apply(std::move(lr));
+  }
   obs::ScopedTimerUs timer(h_append_us());
   // Fault injection: "kbstore.wal_append" simulates an append that cannot
   // reach the log (disk full, I/O error). The error kind throws here too —
@@ -539,6 +547,7 @@ void Store::maybe_request_compaction_locked() {
 
 bool Store::compact() {
   if (is_follower()) return false;  // followers mirror leader compactions
+  if (!has_dir()) return true;      // in memory: nothing to write
   std::lock_guard<std::mutex> lock(wal_mu_);
   return compact_locked();
 }
@@ -561,6 +570,7 @@ bool Store::promote_to_leader() {
 }
 
 bool Store::compact_locked() {
+  ILC_ASSERT(has_dir());
   obs::ScopedTimerUs timer(h_compaction_us());
   if (!flush_locked()) return false;
 
@@ -627,7 +637,7 @@ void Store::background_loop() {
   }
 }
 
-// ---- legacy CSV bridge ---------------------------------------------------
+// ---- CSV import/export ---------------------------------------------------
 
 bool Store::import_records(const kb::KnowledgeBase& base) {
   for (const kb::ExperimentRecord& rec : base.records()) append(rec);

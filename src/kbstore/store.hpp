@@ -1,8 +1,18 @@
 // ilc::kbstore — a durable, concurrent, embedded storage engine for
 // knowledge-base ExperimentRecords (the paper's Section III-E repository
-// as a real storage system rather than a whole-file CSV rewrite).
+// as a real storage system rather than a whole-file CSV rewrite). It is
+// the one keyed record store of the system: the tuning service's result
+// cache, replication and kb_tool all run on it. CSV is only an
+// import/export format (kb_tool import / export).
 //
-// On disk a store is a directory:
+// Two forms, one index. Store::open(dir) gives the durable form described
+// below. Store::in_memory() gives the same sharded index with the same
+// append/upsert/erase/find/records semantics and nothing else: it owns no
+// directory, writes no file, buffers no WAL, runs no compaction thread and
+// updates no kbstore.* metric; sync() and compact() do nothing and return
+// true. It backs a tuning service started without a KB path.
+//
+// On disk a durable store is a directory:
 //
 //   <dir>/snapshot.ilc   compacted baseline, written atomically (tmp+rename)
 //   <dir>/wal.ilc        append-only write-ahead log of mutations
@@ -115,6 +125,9 @@ class Store {
   static std::unique_ptr<Store> open(const std::string& dir,
                                      Options opts = {},
                                      RecoveryInfo* info = nullptr);
+  /// An in-memory store: the index alone, with no directory behind it
+  /// (see the header comment). Never a follower.
+  static std::unique_ptr<Store> in_memory();
   ~Store();  // stops compaction, flushes the WAL
 
   Store(const Store&) = delete;
@@ -144,9 +157,11 @@ class Store {
   std::size_t size() const;
 
   /// Group-commit barrier: every prior append is durable on return.
+  /// In memory: nothing to flush, true.
   bool sync();
 
   /// Write the live set as a new snapshot and truncate the WAL.
+  /// In memory: no-op, true.
   bool compact();
 
   StoreStats stats() const;
@@ -193,8 +208,8 @@ class Store {
   /// out-parameter, kept for tooling that opens the store elsewhere).
   RecoveryInfo recovery() const { return recovery_; }
 
-  // --- legacy CSV bridge -------------------------------------------------
-  /// Append every record of a parsed legacy KB (order preserved) and sync.
+  // --- CSV import/export (kb_tool) ---------------------------------------
+  /// Append every record of a parsed CSV KB (order preserved) and sync.
   bool import_records(const kb::KnowledgeBase& base);
   /// Materialize the store as a KnowledgeBase (for CSV export / queries).
   kb::KnowledgeBase export_kb() const;
@@ -218,6 +233,8 @@ class Store {
   Shard& shard_of(const std::string& key);
   const Shard& shard_of(const std::string& key) const;
 
+  /// False for the in-memory form, which must never build the paths below.
+  bool has_dir() const { return !dir_.empty(); }
   std::string wal_path() const { return dir_ + "/wal.ilc"; }
   std::string snapshot_path() const { return dir_ + "/snapshot.ilc"; }
 
@@ -235,7 +252,7 @@ class Store {
   std::vector<Entry> collect_entries() const;  // sorted by seq
   void background_loop();
 
-  const std::string dir_;
+  const std::string dir_;  // empty for the in-memory form
   const Options opts_;
   /// Live follower/leader mode. Seeded from opts_.follower; flipped (at
   /// most once) by promote_to_leader(). Atomic because the write API

@@ -155,6 +155,10 @@ void Session::feed_line(const std::string& line,
           [this] { return svc::format_metrics(service_.metrics()); });
       break;
     case svc::Command::Kind::Save: {
+      if (!cmd.path.empty() && origin_ == Origin::Remote) {
+        push_ready("err save <path> is not accepted over the network");
+        break;
+      }
       defer_or_run([this, path = cmd.path] {
         const bool ok = path.empty() ? service_.save() : service_.save_to(path);
         return std::string(ok ? "ok saved" : "err save failed");

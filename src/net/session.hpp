@@ -28,6 +28,13 @@
 // concurrently from service workers. The internal mutex covers the slot
 // FIFO; the Hooks::wake callback is invoked *outside* it.
 //
+// Trust: a Remote session (a TCP client) may not name files on the
+// server. `save <path>` would let any client write, or replace, any file
+// the server process can write, so a Remote session answers it with
+// `err` and writes nothing; bare `save` (sync the configured store) stays
+// open to every client. A Console session (stdin or a script file, run by
+// whoever started the server) keeps the path form.
+//
 // Lifetime: service callbacks hold weak_ptr — a Session dropped with
 // requests still in flight (client disconnected mid-request) simply
 // never hears the completions; the service's own completion guard
@@ -69,9 +76,14 @@ class Session : public std::enable_shared_from_this<Session> {
     obs::SpanContext trace{};  // invalid unless tracing was enabled
   };
 
+  /// Where a session's lines come from (see "Trust" above).
+  enum class Origin { Console, Remote };
+
   static std::shared_ptr<Session> create(svc::TuningService& service,
-                                         Hooks hooks) {
-    return std::shared_ptr<Session>(new Session(service, std::move(hooks)));
+                                         Hooks hooks,
+                                         Origin origin = Origin::Remote) {
+    return std::shared_ptr<Session>(
+        new Session(service, std::move(hooks), origin));
   }
 
   Session(const Session&) = delete;
@@ -117,8 +129,8 @@ class Session : public std::enable_shared_from_this<Session> {
   void fail(const std::string& message);
 
  private:
-  Session(svc::TuningService& service, Hooks hooks)
-      : service_(service), hooks_(std::move(hooks)) {}
+  Session(svc::TuningService& service, Hooks hooks, Origin origin)
+      : service_(service), hooks_(std::move(hooks)), origin_(origin) {}
 
   struct Slot {
     bool ready = false;
@@ -143,6 +155,7 @@ class Session : public std::enable_shared_from_this<Session> {
 
   svc::TuningService& service_;
   Hooks hooks_;
+  const Origin origin_;
 
   mutable std::mutex mu_;
   std::condition_variable all_ready_;

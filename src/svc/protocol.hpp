@@ -10,7 +10,9 @@
 //                               text registered under <name>; a later
 //                               "tune <name>" submits it
 //   metrics                   — emit a metrics snapshot line
-//   save [path]               — persist the knowledge base
+//   save [path]               — persist the knowledge base; with a path,
+//                               export it as CSV there (console only: a
+//                               TCP client naming a path gets `err`)
 //   ping                      — liveness/identity probe: answered
 //                               immediately (never queued), so health
 //                               monitors can probe a busy server

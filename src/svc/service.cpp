@@ -1,6 +1,7 @@
 #include "svc/service.hpp"
 
 #include <exception>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,6 +25,25 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point start) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
+}
+
+/// A successful reply served from a remembered result, no search run:
+/// a warm hit, a follower hit, or a stale result under overload.
+TuningResponse cached_response(const std::string& program,
+                               const CachedResult& hit, Source source,
+                               std::chrono::steady_clock::time_point start) {
+  TuningResponse r;
+  r.ok = true;
+  r.program = program;
+  r.config = hit.config;
+  r.baseline_metric = hit.baseline_metric;
+  r.best_metric = hit.best_metric;
+  r.speedup = hit.best_metric ? static_cast<double>(hit.baseline_metric) /
+                                    static_cast<double>(hit.best_metric)
+                              : 0.0;
+  r.source = source;
+  r.latency_us = elapsed_us(start);
+  return r;
 }
 
 // Sharding/replication counters live in the global registry rather than
@@ -142,7 +162,15 @@ class TuningService::Completion {
 
 TuningService::TuningService(Options opts)
     : opts_(std::move(opts)), pool_(opts_.workers) {
+  ILC_CHECK_MSG(opts_.follower_store == nullptr || opts_.kb_path.empty(),
+                "a follower service serves its replicated store; it takes "
+                "no kb_path");
   if (!opts_.kb_path.empty()) {
+    ILC_CHECK_MSG(!std::filesystem::is_regular_file(opts_.kb_path),
+                  opts_.kb_path +
+                      " is a file, not a knowledge-base store directory; "
+                      "convert a CSV knowledge base with `kb_tool import "
+                      "<csv> <dir>`");
     kbstore::Options kopts;
     // autosave=true means "durable after every search": flush per write.
     // Otherwise group-commit in batches; save()/shutdown sync the rest.
@@ -249,47 +277,22 @@ std::shared_future<TuningResponse> TuningService::submit(
       return it->second->future;
     }
 
-    if (auto hit = cache_.lookup(cache_key, req.machine.name)) {
-      lookup.annotate("outcome", "warm_hit");
-      TuningResponse r;
-      r.ok = true;
-      r.program = req.program;
-      r.config = hit->config;
-      r.baseline_metric = hit->baseline_metric;
-      r.best_metric = hit->best_metric;
-      r.speedup = hit->best_metric
-                      ? static_cast<double>(hit->baseline_metric) /
-                            static_cast<double>(hit->best_metric)
-                      : 0.0;
-      r.source = Source::WarmCache;
-      r.latency_us = elapsed_us(start);
+    // A follower answers from the replicated store; its own cache stays
+    // empty, since it never searches.
+    const kbstore::Store* follower = opts_.follower_store;
+    if (const auto hit =
+            follower ? ResultCache::lookup_store(*follower, cache_key,
+                                                 req.machine.name)
+                     : cache_.lookup(cache_key, req.machine.name)) {
+      lookup.annotate("outcome", follower ? "follower_hit" : "warm_hit");
+      TuningResponse r = cached_response(
+          req.program, *hit,
+          follower ? Source::Follower : Source::WarmCache, start);
       metrics_.on_warm_hit(r.latency_us);
+      if (follower) c_follower_hits().add(1);
       return resolved(std::move(r));
     }
-    // Replication follower fallback: the replicated store answers warm
-    // hits that the local cache (usually empty on a follower — its
-    // kb_path is unset so the leader's store stays single-writer) misses.
-    if (opts_.follower_lookup) {
-      if (auto hit = opts_.follower_lookup(cache_key, req.machine.name)) {
-        lookup.annotate("outcome", "follower_hit");
-        TuningResponse r;
-        r.ok = true;
-        r.program = req.program;
-        r.config = hit->config;
-        r.baseline_metric = hit->baseline_metric;
-        r.best_metric = hit->best_metric;
-        r.speedup = hit->best_metric
-                        ? static_cast<double>(hit->baseline_metric) /
-                              static_cast<double>(hit->best_metric)
-                        : 0.0;
-        r.source = Source::Follower;
-        r.latency_us = elapsed_us(start);
-        metrics_.on_warm_hit(r.latency_us);
-        c_follower_hits().add(1);
-        return resolved(std::move(r));
-      }
-    }
-    if (opts_.read_only) {
+    if (follower) {
       lookup.annotate("outcome", "read_only_miss");
       TuningResponse r;
       r.program = req.program;
@@ -304,31 +307,21 @@ std::shared_future<TuningResponse> TuningService::submit(
     // stale map remembers the last computed result per flight (even one
     // whose KB persist failed), which beats an outright rejection.
     if (opts_.max_queue != 0 && queue_.size() >= opts_.max_queue) {
-      TuningResponse r;
-      r.program = req.program;
       if (const auto st = stale_.find(flight_key); st != stale_.end()) {
         lookup.annotate("outcome", "stale");
-        const CachedResult& c = st->second.result;
-        r.ok = true;
-        r.config = c.config;
-        r.baseline_metric = c.baseline_metric;
-        r.best_metric = c.best_metric;
-        r.speedup = c.best_metric
-                        ? static_cast<double>(c.baseline_metric) /
-                              static_cast<double>(c.best_metric)
-                        : 0.0;
-        r.source = Source::StaleCache;
-        r.latency_us = elapsed_us(start);
+        TuningResponse r = cached_response(req.program, st->second.result,
+                                           Source::StaleCache, start);
         metrics_.on_shed(r.latency_us);
-      } else {
-        lookup.annotate("outcome", "rejected");
-        r.ok = false;
-        r.error = "overloaded: admission queue full (max_queue=" +
-                  std::to_string(opts_.max_queue) + ")";
-        r.source = Source::Rejected;
-        r.latency_us = elapsed_us(start);
-        metrics_.on_rejected(r.latency_us);
+        return resolved(std::move(r));
       }
+      lookup.annotate("outcome", "rejected");
+      TuningResponse r;
+      r.program = req.program;
+      r.error = "overloaded: admission queue full (max_queue=" +
+                std::to_string(opts_.max_queue) + ")";
+      r.source = Source::Rejected;
+      r.latency_us = elapsed_us(start);
+      metrics_.on_rejected(r.latency_us);
       return resolved(std::move(r));
     }
     lookup.annotate("outcome", "miss");
@@ -594,9 +587,9 @@ void TuningService::run_one() {
       cached.best_metric = resp.best_metric;
       cached.baseline_metric = resp.baseline_metric;
       cache_.store(job->cache_key, job->request.machine.name, cached);
-      // In durable mode store() WAL-appends incrementally; autosave makes
-      // the result durable before the client sees its response.
-      if (opts_.autosave && !opts_.kb_path.empty() && !cache_.sync())
+      // store() WAL-appends incrementally; autosave makes the result
+      // durable before the client sees its response.
+      if (opts_.autosave && !cache_.sync())
         throw std::runtime_error("knowledge-base sync failed");
     } catch (const std::exception& e) {
       failed = true;
@@ -625,7 +618,7 @@ void TuningService::run_one() {
 bool TuningService::save() const {
   if (opts_.kb_path.empty()) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  return cache_.sync();  // a kb_path always opens a durable store
+  return cache_.sync();
 }
 
 bool TuningService::save_to(const std::string& path) const {

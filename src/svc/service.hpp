@@ -3,14 +3,17 @@
 // scheduled on a bounded worker pool through a priority queue with FIFO
 // tie-breaking; concurrent duplicates are coalesced into a single search
 // (single-flight, keyed by module fingerprint + machine + objective); and
-// completed results persist incrementally through a kbstore-backed cache
-// (WAL + snapshots + crash recovery), so a service restarted — or crashed
-// and restarted — against the same store answers repeat queries with zero
-// simulations.
+// completed results land in a ResultCache, which is one kbstore::Store:
+// a store directory at Options::kb_path (WAL + snapshots + crash
+// recovery), so a service restarted — or crashed and restarted — against
+// the same store answers repeat queries with zero simulations, or an
+// in-memory store when no path is given. A replication follower answers
+// from its replicated store instead (Options::follower_store) and never
+// searches.
 //
 // Request lifecycle — the service's guarantee is that **every submitted
 // request resolves exactly once, in bounded time, on every path**:
-//   submit() -> [warm KB hit -> ready future]
+//   submit() -> [warm KB hit or follower hit -> ready future]
 //            -> [duplicate in flight -> share that future (coalesced)]
 //            -> [queue full -> stale in-memory result (shed) or rejected]
 //            -> [enqueue -> worker pops highest-priority job
@@ -54,8 +57,9 @@ class TuningService {
     /// at once. Search results are deterministic at any value.
     unsigned search_workers = 1;
     /// Location of the persistent KB store (a kbstore directory, created
-    /// on first use; a legacy CSV KB file here is migrated in place).
-    /// Empty keeps the cache in memory only.
+    /// on first use). A file here refuses to start: a CSV knowledge base
+    /// converts with `kb_tool import <csv> <dir>`. Empty keeps the cache
+    /// in an in-memory store.
     std::string kb_path;
     /// Make each completed search durable immediately (flush the store's
     /// WAL per write). When false, writes group-commit in batches and are
@@ -85,21 +89,18 @@ class TuningService {
     /// shard's KB. 0 (and 1) = unsharded.
     std::size_t shard_index = 0;
     std::size_t shard_count = 0;
-    /// Serve only from caches; never run a search or write the KB. The
-    /// mode of a replication follower: a miss is an error ("read-only
-    /// follower"), directing the client at the shard's primary.
-    bool read_only = false;
-    /// Warm-hit fallback consulted after the service's own cache misses —
-    /// a follower process points this at its replicated store (see
-    /// ResultCache::lookup_store). Hits answer as Source::Follower.
-    /// Called with mu_ held; must not call back into the service.
-    std::function<std::optional<CachedResult>(const std::string& cache_key,
-                                              const std::string& machine)>
-        follower_lookup;
+    /// Non-null makes this a read-only replication follower: requests are
+    /// answered from this replicated store (Source::Follower), a miss is
+    /// an error ("read-only follower") directing the client at the
+    /// shard's primary, and no search runs and nothing is written. Not
+    /// owned; must outlive the service. Exclusive with kb_path, so the
+    /// replicated store keeps exactly one writer (its Applier).
+    const kbstore::Store* follower_store = nullptr;
   };
 
-  /// Loads Options::kb_path when present; an unparsable file throws
-  /// support::CheckError rather than silently starting cold.
+  /// Opens Options::kb_path when present; a path that is not a store
+  /// directory throws support::CheckError rather than silently starting
+  /// cold.
   explicit TuningService(Options opts);
   ~TuningService();  // drains all queued work
 
@@ -138,7 +139,7 @@ class TuningService {
   /// Make the KB durable at Options::kb_path: syncs the store's WAL.
   /// False when none configured.
   bool save() const;
-  /// Export the KB to an explicit path in the legacy CSV format.
+  /// Export the KB to an explicit path in the CSV format.
   bool save_to(const std::string& path) const;
   std::size_t kb_size() const;
   std::size_t workers() const { return pool_.size(); }
@@ -147,7 +148,7 @@ class TuningService {
   /// probes confirm they reached the endpoint they think they probed).
   std::size_t shard_index() const { return opts_.shard_index; }
   std::size_t shard_count() const { return opts_.shard_count; }
-  bool read_only() const { return opts_.read_only; }
+  bool read_only() const { return opts_.follower_store != nullptr; }
 
  private:
   struct Job;

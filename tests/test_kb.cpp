@@ -166,71 +166,6 @@ TEST(Kb, SerializeParseRoundTripProperty) {
   }
 }
 
-TEST(Kb, FindAndUpsertKeepOneRecordPerKey) {
-  kb::KnowledgeBase base;
-  EXPECT_EQ(base.find("a", "amd-like", "sequence"), nullptr);
-
-  kb::ExperimentRecord r = sample("a", 100);
-  EXPECT_FALSE(base.upsert(r));  // insert
-  ASSERT_NE(base.find("a", "amd-like", "sequence"), nullptr);
-  EXPECT_EQ(base.find("a", "amd-like", "sequence")->cycles, 100u);
-  EXPECT_EQ(base.find("a", "amd-like", "flags"), nullptr);
-
-  r.cycles = 60;
-  EXPECT_TRUE(base.upsert(r));  // replace in place
-  EXPECT_EQ(base.size(), 1u);
-  EXPECT_EQ(base.find("a", "amd-like", "sequence")->cycles, 60u);
-
-  r.kind = "flags";
-  r.cycles = 80;
-  EXPECT_FALSE(base.upsert(r));  // distinct kind: new record
-  EXPECT_EQ(base.size(), 2u);
-}
-
-// Property test: the internal hash index must agree with a reference
-// linear scan after any interleaving of add() and upsert().
-TEST(Kb, IndexMatchesLinearScanReference) {
-  support::Rng rng(20080602);
-  kb::KnowledgeBase base;
-  std::vector<kb::ExperimentRecord> reference;
-
-  auto ref_find = [&](const kb::ExperimentRecord& key)
-      -> const kb::ExperimentRecord* {
-    for (const auto& r : reference)
-      if (r.program == key.program && r.machine == key.machine &&
-          r.kind == key.kind)
-        return &r;
-    return nullptr;
-  };
-
-  for (int step = 0; step < 300; ++step) {
-    kb::ExperimentRecord r = sample(
-        "p" + std::to_string(rng.next_below(6)), rng.next_below(10000),
-        rng.next_below(2) ? "sequence" : "flags");
-    r.machine = rng.next_below(2) ? "amd-like" : "c6713-like";
-    if (rng.next_below(2)) {
-      base.add(r);
-      reference.push_back(r);
-    } else {
-      base.upsert(r);
-      if (auto* hit = const_cast<kb::ExperimentRecord*>(ref_find(r)))
-        *hit = r;
-      else
-        reference.push_back(r);
-    }
-  }
-
-  ASSERT_EQ(base.size(), reference.size());
-  for (const auto& probe : reference) {
-    const auto* got = base.find(probe.program, probe.machine, probe.kind);
-    const auto* want = ref_find(probe);
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->cycles, want->cycles);
-  }
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    EXPECT_EQ(base.records()[i].cycles, reference[i].cycles);
-}
-
 // save() must be atomic: overwrite via temp + rename, no droppings.
 TEST(Kb, SaveIsAtomicAndLeavesNoTempFile) {
   const std::string path = "/tmp/ilc_kb_test_atomic.csv";

@@ -1,7 +1,9 @@
-// kbstore tests: codec and framing round trips, crash recovery under
+// kbstore tests: codec and framing round trips, the keyed index against a
+// linear-scan reference (in memory, on disk, and reopened), the in-memory
+// form's promise to touch no file and no metric, crash recovery under
 // fault injection (torn WAL tails, bit-flipped payloads, corrupt
 // snapshots, stale WALs), group-commit acknowledgement semantics,
-// compaction, the legacy CSV bridge, and concurrent writers/readers.
+// compaction, CSV import/export, and concurrent writers/readers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,7 @@
 #include "kbstore/log_format.hpp"
 #include "kbstore/record_codec.hpp"
 #include "kbstore/store.hpp"
+#include "obs/metrics.hpp"
 #include "support/failpoint.hpp"
 
 namespace {
@@ -187,6 +190,118 @@ TEST(KbStore, UpsertReplacesFirstAndEraseDropsKey) {
   EXPECT_TRUE(store->erase("a", "amd-like", "sequence"));
   EXPECT_FALSE(store->erase("a", "amd-like", "sequence"));
   EXPECT_EQ(store->size(), 0u);
+}
+
+// Property test: the sharded index must agree with a reference linear
+// scan after any interleaving of append() and upsert(): find() returns
+// the first record under a key, upsert() replaces it in place, and
+// records() keeps insertion order. Checked on the in-memory form, on a
+// directory store, and on that directory store reopened from its WAL.
+TEST(KbStore, IndexMatchesLinearScanReference) {
+  std::mt19937_64 rng(20080602);
+  std::vector<kb::ExperimentRecord> reference;
+  const auto ref_find =
+      [&](const kb::ExperimentRecord& key) -> kb::ExperimentRecord* {
+    for (auto& r : reference)
+      if (r.program == key.program && r.machine == key.machine &&
+          r.kind == key.kind)
+        return &r;
+    return nullptr;
+  };
+
+  TempStoreDir dir("kbstore_test_index_reference");
+  const auto memory = Store::in_memory();
+  auto disk = Store::open(dir.path, every_append());
+  ASSERT_NE(disk, nullptr);
+  for (int step = 0; step < 300; ++step) {
+    kb::ExperimentRecord r =
+        sample("p" + std::to_string(rng() % 6), rng() % 10000,
+               rng() % 2 ? "sequence" : "flags");
+    r.machine = rng() % 2 ? "amd-like" : "c6713-like";
+    if (rng() % 2) {
+      memory->append(r);
+      disk->append(r);
+      reference.push_back(r);
+    } else {
+      memory->upsert(r);
+      disk->upsert(r);
+      if (kb::ExperimentRecord* hit = ref_find(r))
+        *hit = r;
+      else
+        reference.push_back(r);
+    }
+  }
+
+  const auto check = [&](const Store& store, const char* form) {
+    SCOPED_TRACE(form);
+    ASSERT_EQ(store.size(), reference.size());
+    for (const auto& probe : reference) {
+      const auto got = store.find(probe.program, probe.machine, probe.kind);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->cycles, ref_find(probe)->cycles);
+    }
+    const auto recs = store.records();
+    ASSERT_EQ(recs.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_EQ(recs[i].cycles, reference[i].cycles) << i;
+  };
+  check(*memory, "in memory");
+  check(*disk, "directory");
+  disk.reset();
+  disk = Store::open(dir.path, every_append());
+  ASSERT_NE(disk, nullptr);
+  check(*disk, "reopened directory");
+}
+
+// The in-memory form owns no directory. With an empty directory name a
+// snapshot or WAL path would land at the filesystem root, so nothing it
+// does may create a file, and nothing may move a kbstore.* metric.
+TEST(KbStore, InMemoryStoreWritesNoFileAndMovesNoMetric) {
+  obs::Registry& registry = obs::Registry::instance();
+  // Sentinels no store publishes, so a position update cannot hide.
+  registry.gauge("kbstore.wal_generation").set(-1);
+  registry.gauge("kbstore.durable_seq").set(-1);
+  const auto kbstore_metrics = [&registry] {
+    std::vector<std::pair<std::string, std::int64_t>> out;
+    const obs::RegistrySnapshot snap = registry.snapshot();
+    const auto keep = [&out](const std::string& name, std::int64_t v) {
+      if (name.rfind("kbstore.", 0) == 0) out.emplace_back(name, v);
+    };
+    for (const auto& c : snap.counters)
+      keep(c.name, static_cast<std::int64_t>(c.value));
+    for (const auto& g : snap.gauges) keep(g.name, g.value);
+    for (const auto& h : snap.histograms)
+      keep(h.name, static_cast<std::int64_t>(h.count));
+    return out;
+  };
+  const auto before = kbstore_metrics();
+
+  TempStoreDir cwd("kbstore_test_in_memory_cwd");
+  fs::create_directories(cwd.path);
+  const fs::path home = fs::current_path();
+  fs::current_path(cwd.path);
+  {
+    auto store = Store::in_memory();
+    EXPECT_FALSE(store->is_follower());
+    store->append(sample("a", 100));
+    EXPECT_FALSE(store->upsert(sample("b", 50)));
+    EXPECT_TRUE(store->upsert(sample("b", 40)));
+    EXPECT_TRUE(store->erase("a", "amd-like", "sequence"));
+    EXPECT_EQ(store->find("b", "amd-like", "sequence")->cycles, 40u);
+    EXPECT_EQ(store->size(), 1u);
+    EXPECT_TRUE(store->sync());
+    EXPECT_TRUE(store->compact());
+    const kbstore::StoreStats stats = store->stats();
+    EXPECT_EQ(stats.flushes, 0u);
+    EXPECT_EQ(stats.compactions, 0u);
+    EXPECT_EQ(stats.wal_bytes, 0u);
+  }  // the destructor flushes nothing and closes nothing
+  fs::current_path(home);
+
+  EXPECT_TRUE(fs::is_empty(cwd.path));
+  for (const char* name : {"/snapshot.tmp", "/snapshot.ilc", "/wal.ilc"})
+    EXPECT_FALSE(fs::exists(name)) << name;
+  EXPECT_EQ(kbstore_metrics(), before);
 }
 
 TEST(KbStore, CleanReopenRecoversEverythingInInsertionOrder) {
@@ -457,7 +572,7 @@ TEST(KbStore, BackgroundCompactionFiresOnDeadRatio) {
   EXPECT_EQ(store->find("hot", "amd-like", "flags")->cycles, 1199u);
 }
 
-// --- legacy CSV bridge ---------------------------------------------------
+// --- CSV import/export (kb_tool) -----------------------------------------
 
 TEST(KbStore, CsvImportExportRoundTripsExactly) {
   TempStoreDir dir("kbstore_test_csv");

@@ -2,8 +2,9 @@
 // pipelining order, module IR over a socket, the protocol line-length
 // limit, half-close, slow-reader and idle eviction, graceful-shutdown
 // drain, mid-request client disconnect, injected accept/read/write
-// faults, and the leak invariant every scenario ends on: after shutdown,
-// accepted == closed and active == 0. Then the blocking transport:
+// faults, the refusal of `save <path>` from TCP clients, and the leak
+// invariant every scenario ends on: after shutdown, accepted == closed
+// and active == 0. Then the blocking transport:
 // request_line through a Listener, and the deadline and stop flag that
 // end a blocked read or write.
 #include <gtest/gtest.h>
@@ -16,12 +17,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "kb/knowledge_base.hpp"
 #include "net/blocking.hpp"
 #include "net/server.hpp"
 #include "net/session.hpp"
@@ -139,6 +142,39 @@ TEST(Net, RoundTripAndQuitClosesConnection) {
   // `quit`: the server flushes and closes; nothing further arrives.
   EXPECT_TRUE(c.at_eof());
   expect_no_leaks(server);
+}
+
+// A TCP client may not name files on the server: `save <path>` would
+// write, or through its tmp-file rename replace, any file the server
+// process can write. It is answered with `err` and writes nothing; bare
+// `save` still syncs the configured store.
+TEST(Net, SaveWithPathIsRefusedAndWritesNothing) {
+  const std::string kb = "net_test_save_refused.kb";
+  const std::string target =
+      (std::filesystem::current_path() / "net_test_save_refused.csv").string();
+  std::filesystem::remove_all(kb);
+  std::filesystem::remove(target);
+  {
+    svc::TuningService service({.workers = 2, .kb_path = kb});
+    net::Server server(service, {});
+    Client c(server.port());
+    c.send_str("tune fir budget=2\nsave " + target + "\nsave\nquit\n");
+
+    const auto tune = c.read_line();
+    ASSERT_TRUE(tune.has_value());
+    EXPECT_EQ(tune->rfind("ok program=fir", 0), 0u) << *tune;
+    const auto refused = c.read_line();
+    ASSERT_TRUE(refused.has_value());
+    EXPECT_EQ(refused->rfind("err ", 0), 0u) << *refused;
+    const auto saved = c.read_line();
+    ASSERT_TRUE(saved.has_value());
+    EXPECT_EQ(*saved, "ok saved");
+    EXPECT_TRUE(c.at_eof());
+    expect_no_leaks(server);
+  }
+  EXPECT_FALSE(std::filesystem::exists(target));
+  EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
+  std::filesystem::remove_all(kb);
 }
 
 TEST(Net, PipelinedResponsesComeBackInSubmissionOrder) {
@@ -437,6 +473,26 @@ TEST(NetSession, BarriersWaitForPrecedingSlots) {
   ASSERT_EQ(done.size(), 2u);
   EXPECT_TRUE(done[0].is_tune);
   EXPECT_FALSE(done[1].is_tune);
+}
+
+// The console (stdin or a script file) is driven by whoever started the
+// server: its `save <path>` still exports a CSV knowledge base there.
+TEST(NetSession, ConsoleSaveWithPathWritesAReadableCsv) {
+  const std::string path = "net_test_console_save.csv";
+  std::filesystem::remove(path);
+  svc::TuningService service({.workers = 2});
+  const std::shared_ptr<net::Session> session = net::Session::create(
+      service, {}, net::Session::Origin::Console);
+  session->feed_line("tune fir budget=2");
+  session->feed_line("save " + path);
+  session->wait_all();
+  std::string out;
+  EXPECT_EQ(session->drain_ready(out), 2u);
+  EXPECT_NE(out.find("\nok saved\n"), std::string::npos) << out;
+  const auto base = kb::KnowledgeBase::load(path);
+  ASSERT_TRUE(base.has_value());
+  EXPECT_EQ(base->size(), 2u);  // the fir answer: best and -O0 baseline
+  std::filesystem::remove(path);
 }
 
 TEST(NetSession, QuitStopsProcessing) {

@@ -24,7 +24,6 @@
 #include "repl/transport.hpp"
 #include "repl/wire.hpp"
 #include "support/failpoint.hpp"
-#include "svc/cache.hpp"
 #include "svc/service.hpp"
 #include "workloads/workloads.hpp"
 
@@ -616,11 +615,7 @@ TEST(ReplServing, FollowerServiceServesReplicatedHitsReadOnly) {
 
   svc::TuningService::Options fopts;
   fopts.workers = 1;
-  fopts.read_only = true;
-  fopts.follower_lookup = [&a](const std::string& key,
-                               const std::string& machine) {
-    return svc::ResultCache::lookup_store(a->store(), key, machine);
-  };
+  fopts.follower_store = &a->store();
   svc::TuningService follower_svc(fopts);
 
   const svc::TuningResponse hit = follower_svc.tune(req);
@@ -754,11 +749,7 @@ TEST(ReplRouter, FallbackMidCatchUpServesOnlyTheReplicatedPrefix) {
   // nothing the leader committed after the follower fell behind.
   svc::TuningService::Options fopts;
   fopts.workers = 1;
-  fopts.read_only = true;
-  fopts.follower_lookup = [&a](const std::string& key,
-                               const std::string& machine) {
-    return svc::ResultCache::lookup_store(a->store(), key, machine);
-  };
+  fopts.follower_store = &a->store();
   svc::TuningService follower_svc(fopts);
   const svc::TuningResponse hit = follower_svc.tune(early);
   EXPECT_TRUE(hit.ok);

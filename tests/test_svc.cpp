@@ -230,34 +230,51 @@ TEST(Svc, WarmRestartServesFromRecoveredStoreAfterTornWal) {
   fs::remove_all(path);
 }
 
-// A legacy CSV knowledge base at kb_path is migrated into a store
-// directory on first open, and its cached results keep serving warm.
-TEST(Svc, LegacyCsvKbFileMigratesToDurableStore) {
-  const char* path = "svc_test_migrate.kb";
+// A CSV knowledge base at kb_path is not a store: startup refuses it,
+// names the conversion, and leaves the file exactly as it was — also
+// when every WAL append fails, which must not cost the file its records.
+TEST(Svc, CsvKbFileRefusesToStartAndStaysIntact) {
+  const char* path = "svc_test_csv_kb_path.kb";
   fs::remove_all(path);
+  struct Disarm {
+    ~Disarm() { support::Failpoints::instance().unset_all(); }
+  } disarm;
+  {
+    svc::ResultCache cache;
+    cache.store(svc::ResultCache::key(0xf1, search::Objective::Cycles),
+                "amd-like", {"licm,dce", 123, 456});
+    ASSERT_TRUE(cache.save(path));
+  }
+  std::string csv;
+  {
+    std::ifstream f(path, std::ios::binary);
+    csv.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  ASSERT_TRUE(kb::KnowledgeBase::parse(csv).has_value());
 
-  const std::uint64_t fp = ir::fingerprint(wl::make_workload("fir").module);
-  const std::string key = svc::ResultCache::key(fp, search::Objective::Cycles);
-  {
-    svc::ResultCache legacy;
-    legacy.store(key, "amd-like", {"licm,dce", 123, 456});
-    ASSERT_TRUE(legacy.save(path));
+  for (const char* failpoint : {"", "kbstore.wal_append=throw"}) {
+    SCOPED_TRACE(failpoint);
+    if (*failpoint != '\0') {
+      ASSERT_TRUE(support::Failpoints::instance().configure(failpoint));
+    }
+    try {
+      svc::TuningService service({.workers = 1, .kb_path = path});
+      ADD_FAILURE() << "a CSV file at kb_path started a service";
+    } catch (const support::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("kb_tool import"),
+                std::string::npos)
+          << e.what();
+    }
+    support::Failpoints::instance().unset_all();
     ASSERT_TRUE(fs::is_regular_file(path));
+    std::ifstream f(path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(f), {}), csv);
   }
-  {
-    svc::TuningService service({.workers = 1, .kb_path = path});
-    const svc::TuningResponse r = service.tune(request("fir", 6));
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(r.source, svc::Source::WarmCache);
-    EXPECT_EQ(r.best_metric, 123u);
-    EXPECT_EQ(r.baseline_metric, 456u);
-  }
-  EXPECT_TRUE(fs::is_directory(path));  // migrated in place
   fs::remove_all(path);
 }
 
-// A kb_path holding neither a store nor a valid CSV KB must refuse to
-// start rather than silently run cold.
+// A kb_path holding something other than a store directory must refuse
+// to start rather than silently run cold.
 TEST(Svc, GarbageKbPathThrowsOnStartup) {
   const char* path = "svc_test_garbage_start.kb";
   fs::remove_all(path);
@@ -677,27 +694,42 @@ TEST_F(SvcLifecycle, EvaluatorEvictionPreservesResults) {
   }
 }
 
+// The same semantics on both backings of the one store: the in-memory
+// store of a default-constructed cache and a durable store directory.
 TEST(SvcCache, StoreLookupAndBetterResultWins) {
-  svc::ResultCache cache;
-  const std::string key = svc::ResultCache::key(0xabcd, search::Objective::Cycles);
-  EXPECT_FALSE(cache.lookup(key, "amd-like").has_value());
+  const char* path = "svc_test_cache_store.kb";
+  fs::remove_all(path);
+  svc::ResultCache memory;
+  auto durable = svc::ResultCache::open_durable(path);
+  ASSERT_TRUE(durable.has_value());
+  for (svc::ResultCache* cache : {&memory, &*durable}) {
+    SCOPED_TRACE(cache == &memory ? "in memory" : "durable");
+    const std::string key =
+        svc::ResultCache::key(0xabcd, search::Objective::Cycles);
+    EXPECT_FALSE(cache->lookup(key, "amd-like").has_value());
 
-  cache.store(key, "amd-like", {"licm,dce", 100, 250});
-  auto hit = cache.lookup(key, "amd-like");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->config, "licm,dce");
-  EXPECT_EQ(hit->best_metric, 100u);
-  EXPECT_EQ(hit->baseline_metric, 250u);
-  EXPECT_FALSE(cache.lookup(key, "c6713-like").has_value());
+    cache->store(key, "amd-like", {"licm,dce", 100, 250});
+    auto hit = cache->lookup(key, "amd-like");
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->config, "licm,dce");
+    EXPECT_EQ(hit->best_metric, 100u);
+    EXPECT_EQ(hit->baseline_metric, 250u);
+    EXPECT_FALSE(cache->lookup(key, "c6713-like").has_value());
 
-  cache.store(key, "amd-like", {"cse", 150, 250});  // worse: ignored
-  EXPECT_EQ(cache.lookup(key, "amd-like")->config, "licm,dce");
-  cache.store(key, "amd-like", {"cse,licm", 80, 250});  // better: replaces
-  EXPECT_EQ(cache.lookup(key, "amd-like")->best_metric, 80u);
-  // Upsert semantics: still one best + one baseline record per key.
-  EXPECT_EQ(cache.size(), 2u);
+    cache->store(key, "amd-like", {"cse", 150, 250});  // worse: ignored
+    EXPECT_EQ(cache->lookup(key, "amd-like")->config, "licm,dce");
+    cache->store(key, "amd-like", {"cse,licm", 80, 250});  // better: replaces
+    EXPECT_EQ(cache->lookup(key, "amd-like")->best_metric, 80u);
+    // Upsert semantics: still one best + one baseline record per key.
+    EXPECT_EQ(cache->size(), 2u);
+    EXPECT_TRUE(cache->sync());
+  }
+  durable.reset();
+  fs::remove_all(path);
 }
 
+// save() exports the standard CSV format: the service's best and baseline
+// records, readable by any knowledge-base tool.
 TEST(SvcCache, RoundTripsThroughKnowledgeBaseFormat) {
   const char* path = "svc_test_cache.kb";
   std::remove(path);
@@ -707,28 +739,20 @@ TEST(SvcCache, RoundTripsThroughKnowledgeBaseFormat) {
                 "amd-like", {"licm", 10, 20});
     ASSERT_TRUE(cache.save(path));
   }
-  auto reloaded = svc::ResultCache::open(path);
-  ASSERT_TRUE(reloaded.has_value());
-  auto hit = reloaded->lookup(
-      svc::ResultCache::key(1, search::Objective::Cycles), "amd-like");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->config, "licm");
-  EXPECT_EQ(hit->baseline_metric, 20u);
-  std::remove(path);
-}
-
-TEST(SvcCache, OpenMissingFileIsEmptyAndGarbageIsNullopt) {
-  auto fresh = svc::ResultCache::open("definitely-missing.kb");
-  ASSERT_TRUE(fresh.has_value());
-  EXPECT_EQ(fresh->size(), 0u);
-
-  const char* path = "svc_test_garbage.kb";
-  {
-    FILE* f = fopen(path, "w");
-    fputs("not a knowledge base\n", f);
-    fclose(f);
-  }
-  EXPECT_FALSE(svc::ResultCache::open(path).has_value());
+  const auto base = kb::KnowledgeBase::load(path);
+  ASSERT_TRUE(base.has_value());
+  ASSERT_EQ(base->size(), 2u);
+  const std::string key = svc::ResultCache::key(1, search::Objective::Cycles);
+  const kb::ExperimentRecord& best = base->records()[0];
+  EXPECT_EQ(best.program, key);
+  EXPECT_EQ(best.machine, "amd-like");
+  EXPECT_EQ(best.kind, "svc-best");
+  EXPECT_EQ(best.config, "licm");
+  EXPECT_EQ(best.cycles, 10u);
+  const kb::ExperimentRecord& baseline = base->records()[1];
+  EXPECT_EQ(baseline.program, key);
+  EXPECT_EQ(baseline.kind, "svc-base");
+  EXPECT_EQ(baseline.cycles, 20u);
   std::remove(path);
 }
 
