@@ -97,6 +97,11 @@ struct PhaseResult {
   }
 };
 
+/// Connections the server holds open right now.
+std::int64_t open_conns(const net::Server& server) {
+  return server.metrics().gauge_value("net.conns_active");
+}
+
 /// Drives `total` connections against `server` from one epoll loop; see
 /// main() for the phase shapes. Every connection pipelines `reqs` tune
 /// commands in one burst and must read exactly that many response lines
@@ -115,7 +120,7 @@ PhaseResult run_phase(const std::string& name, net::Server& server,
 
   const net::Fd ep(::epoll_create1(EPOLL_CLOEXEC));
   std::vector<CConn> conns(total);
-  const std::int64_t active_before = server.stats().active;
+  const std::int64_t active_before = open_conns(server);
   std::size_t terminal = 0;
 
   auto set_interest = [&](std::size_t i, std::uint32_t mask) {
@@ -165,7 +170,7 @@ PhaseResult run_phase(const std::string& name, net::Server& server,
   // server before the first request byte.
   bool go = !barrier;
   auto barrier_reached = [&] {
-    return server.stats().active - active_before >=
+    return open_conns(server) - active_before >=
            static_cast<std::int64_t>(total - out.dropped);
   };
 
@@ -173,7 +178,7 @@ PhaseResult run_phase(const std::string& name, net::Server& server,
   while (terminal < total && Clock::now() < deadline) {
     if (!go && barrier_reached()) {
       go = true;
-      out.peak_active = server.stats().active - active_before;
+      out.peak_active = open_conns(server) - active_before;
       for (std::size_t i = 0; i < total; ++i)
         if (!conns[i].terminal() && conns[i].outoff < conns[i].outbuf.size())
           set_interest(i, EPOLLIN | EPOLLOUT | EPOLLRDHUP);
@@ -351,7 +356,8 @@ int main(int argc, char** argv) {
   // clients hang up mid-request without reading their responses.
   const std::size_t fault_conns = std::max<std::size_t>(conns / 8, 64);
   const std::size_t accept_drops = 16;
-  const net::Server::Stats pre_fault = server.stats();
+  const std::uint64_t faults_before =
+      server.metrics().counter_value("net.accept_faults");
   support::Failpoints::instance().configure(
       "net.accept=error*" + std::to_string(accept_drops) +
       ";net.write=error*4000");
@@ -364,11 +370,15 @@ int main(int argc, char** argv) {
 
   // Abandoned connections must unwind on their own, not linger.
   const Clock::time_point settle = Clock::now() + std::chrono::seconds(60);
-  while (server.stats().active > 0 && Clock::now() < settle)
+  while (open_conns(server) > 0 && Clock::now() < settle)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
   server.shutdown();
-  const net::Server::Stats s = server.stats();
+  const obs::RegistrySnapshot s = server.metrics();
+  const std::uint64_t accepted = s.counter_value("net.conns_accepted");
+  const std::uint64_t closed = s.counter_value("net.conns_closed");
+  const std::int64_t active = s.gauge_value("net.conns_active");
+  const std::uint64_t accept_faults = s.counter_value("net.accept_faults");
 
   support::Table table({"phase", "conns", "responses", "hung", "dropped",
                         "p50 us", "p95 us", "p99 us", "wall s"});
@@ -383,22 +393,19 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const svc::Metrics m = service.metrics();
+  const obs::RegistrySnapshot m = service.metrics();
+  const auto n = [](const obs::RegistrySnapshot& snap, const char* name) {
+    return static_cast<unsigned long long>(snap.counter_value(name));
+  };
   std::printf(
       "\nserver: accepted=%llu closed=%llu active=%lld accept_faults=%llu "
       "evicted=%llu bytes_in=%llu bytes_out=%llu\n"
       "service: requests=%llu rejected=%llu shed=%llu timed_out=%llu\n",
-      static_cast<unsigned long long>(s.accepted),
-      static_cast<unsigned long long>(s.closed),
-      static_cast<long long>(s.active),
-      static_cast<unsigned long long>(s.accept_faults),
-      static_cast<unsigned long long>(s.evicted_idle + s.evicted_slow),
-      static_cast<unsigned long long>(s.bytes_in),
-      static_cast<unsigned long long>(s.bytes_out),
-      static_cast<unsigned long long>(m.requests),
-      static_cast<unsigned long long>(m.rejected),
-      static_cast<unsigned long long>(m.shed),
-      static_cast<unsigned long long>(m.timed_out));
+      n(s, "net.conns_accepted"), n(s, "net.conns_closed"),
+      static_cast<long long>(active), n(s, "net.accept_faults"),
+      n(s, "net.conns_evicted_idle") + n(s, "net.conns_evicted_slow"),
+      n(s, "net.bytes_in"), n(s, "net.bytes_out"), n(m, "svc.requests"),
+      n(m, "svc.rejected"), n(m, "svc.shed"), n(m, "svc.timed_out"));
 
   // The gate. Every clause is a bug if violated.
   bool ok = true;
@@ -417,13 +424,13 @@ int main(int argc, char** argv) {
           "every pipelined request was answered");
   require(steady.errs == 0 && faults.errs == 0,
           "no request produced an error response");
-  require(s.accept_faults - pre_fault.accept_faults == accept_drops,
+  require(accept_faults - faults_before == accept_drops,
           "fault phase dropped exactly the injected accepts");
   require(faults.dropped <= accept_drops,
           "only injected faults dropped connections");
   require(short_writes > 0, "fault phase exercised short writes");
   require(faults.aborted > 0, "fault phase aborted clients mid-request");
-  require(s.active == 0 && s.accepted == s.closed,
+  require(active == 0 && accepted == closed,
           "zero leaked connections after shutdown");
 
   if (!args.json_path.empty()) {
@@ -434,9 +441,9 @@ int main(int argc, char** argv) {
         .integer("reqs_per_conn", reqs)
         .raw("steady", phase_json(steady))
         .raw("faults", phase_json(faults))
-        .integer("accepted", s.accepted)
-        .integer("closed", s.closed)
-        .integer("accept_faults", s.accept_faults)
+        .integer("accepted", accepted)
+        .integer("closed", closed)
+        .integer("accept_faults", accept_faults)
         .integer("short_writes", short_writes)
         .boolean("ok", ok);
     if (!bench::write_json(args.json_path, std::move(doc))) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/metrics.hpp"
 #include "support/failpoint.hpp"
 #include "support/table.hpp"
 #include "svc/service.hpp"
@@ -38,11 +39,20 @@ struct Phase {
   std::uint64_t submitted = 0;
   std::uint64_t hung = 0;  // futures not ready after the generous wait
   double wall_s = 0.0;
-  svc::Metrics m;
+  obs::RegistrySnapshot m;  // the service's metrics() after drain
 
+  std::uint64_t count(const char* counter) const {
+    return m.counter_value(counter);
+  }
   std::uint64_t outcomes() const {
-    return m.warm_hits + m.coalesced + m.searches + m.errors + m.rejected +
-           m.timed_out + m.shed;
+    return count("svc.warm_hits") + count("svc.coalesced") +
+           count("svc.searches") + count("svc.errors") +
+           count("svc.rejected") + count("svc.timed_out") +
+           count("svc.shed");
+  }
+  std::uint64_t p95_latency_us() const {
+    const obs::HistogramSnapshot* h = m.histogram("svc.latency_us");
+    return h ? static_cast<std::uint64_t>(h->percentile(95.0)) : 0;
   }
 };
 
@@ -119,17 +129,17 @@ std::string pct(std::uint64_t part, std::uint64_t whole) {
 
 std::string phase_json(const Phase& p) {
   bench::Json j;
-  j.integer("requests", p.m.requests)
+  j.integer("requests", p.count("svc.requests"))
       .integer("hung", p.hung)
-      .integer("warm_hits", p.m.warm_hits)
-      .integer("coalesced", p.m.coalesced)
-      .integer("searches", p.m.searches)
-      .integer("errors", p.m.errors)
-      .integer("rejected", p.m.rejected)
-      .integer("timed_out", p.m.timed_out)
-      .integer("shed", p.m.shed)
-      .integer("persist_errors", p.m.persist_errors)
-      .integer("p95_latency_us", p.m.p95_latency_us)
+      .integer("warm_hits", p.count("svc.warm_hits"))
+      .integer("coalesced", p.count("svc.coalesced"))
+      .integer("searches", p.count("svc.searches"))
+      .integer("errors", p.count("svc.errors"))
+      .integer("rejected", p.count("svc.rejected"))
+      .integer("timed_out", p.count("svc.timed_out"))
+      .integer("shed", p.count("svc.shed"))
+      .integer("persist_errors", p.count("svc.persist_errors"))
+      .integer("p95_latency_us", p.p95_latency_us())
       .number("wall_s", p.wall_s);
   return j.render(2);
 }
@@ -168,13 +178,14 @@ int main(int argc, char** argv) {
     char rps[32];
     std::snprintf(rps, sizeof rps, "%.0f",
                   static_cast<double>(p->submitted) / p->wall_s);
-    table.add_row({p->name, std::to_string(p->m.requests),
+    const std::uint64_t requests = p->count("svc.requests");
+    table.add_row({p->name, std::to_string(requests),
                    std::to_string(p->hung),
-                   pct(p->m.rejected, p->m.requests),
-                   pct(p->m.timed_out, p->m.requests),
-                   pct(p->m.shed, p->m.requests),
-                   std::to_string(p->m.persist_errors),
-                   std::to_string(p->m.p95_latency_us), rps});
+                   pct(p->count("svc.rejected"), requests),
+                   pct(p->count("svc.timed_out"), requests),
+                   pct(p->count("svc.shed"), requests),
+                   std::to_string(p->count("svc.persist_errors")),
+                   std::to_string(p->p95_latency_us()), rps});
   }
   table.print(std::cout);
 
@@ -186,18 +197,21 @@ int main(int argc, char** argv) {
   };
   require(overload.hung == 0 && faults.hung == 0,
           "every submitted future resolved (zero hung clients)");
-  require(overload.m.requests == overload.submitted &&
-              faults.m.requests == faults.submitted,
+  require(overload.count("svc.requests") == overload.submitted &&
+              faults.count("svc.requests") == faults.submitted,
           "service counted every submission");
-  require(overload.outcomes() == overload.m.requests &&
-              faults.outcomes() == faults.m.requests,
+  require(overload.outcomes() == overload.count("svc.requests") &&
+              faults.outcomes() == faults.count("svc.requests"),
           "every request accounted to exactly one outcome");
-  require(overload.m.rejected + overload.m.shed + overload.m.timed_out > 0,
+  require(overload.count("svc.rejected") + overload.count("svc.shed") +
+                  overload.count("svc.timed_out") > 0,
           "overload phase actually shed load");
-  require(faults.m.persist_errors > 0,
+  require(faults.count("svc.persist_errors") > 0,
           "fault phase injected persist failures");
-  require(overload.m.queued == 0 && overload.m.in_flight == 0 &&
-              faults.m.queued == 0 && faults.m.in_flight == 0,
+  require(overload.m.gauge_value("svc.queued") == 0 &&
+              overload.m.gauge_value("svc.in_flight") == 0 &&
+              faults.m.gauge_value("svc.queued") == 0 &&
+              faults.m.gauge_value("svc.in_flight") == 0,
           "gauges returned to zero after drain");
 
   if (!args.json_path.empty()) {

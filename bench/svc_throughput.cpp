@@ -55,7 +55,7 @@ PassResult run_pass(svc::TuningService& service, unsigned budget,
       std::chrono::duration<double>(Clock::now() - t0).count();
   PassResult out;
   out.rps = static_cast<double>(futures.size()) / secs;
-  out.simulations = service.metrics().simulations;
+  out.simulations = service.metrics().counter_value("svc.simulations");
   return out;
 }
 

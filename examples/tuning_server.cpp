@@ -145,16 +145,16 @@ int run_tcp(svc::TuningService& service, net::ServerOptions net_opts,
   sigwait(signals, &sig);
   std::fprintf(stderr, "signal %d: draining connections...\n", sig);
   server->shutdown();
-  const net::Server::Stats s = server->stats();
+  const obs::RegistrySnapshot m = server->metrics();
+  const auto n = [&m](const char* name) {
+    return static_cast<unsigned long long>(m.counter_value(name));
+  };
   std::fprintf(stderr,
                "served %llu responses over %llu connections "
                "(%llu evicted), %llu bytes in / %llu bytes out\n",
-               static_cast<unsigned long long>(s.responses),
-               static_cast<unsigned long long>(s.accepted),
-               static_cast<unsigned long long>(s.evicted_idle +
-                                               s.evicted_slow),
-               static_cast<unsigned long long>(s.bytes_in),
-               static_cast<unsigned long long>(s.bytes_out));
+               n("net.responses"), n("net.conns_accepted"),
+               n("net.conns_evicted_idle") + n("net.conns_evicted_slow"),
+               n("net.bytes_in"), n("net.bytes_out"));
   return 0;
 }
 

@@ -54,38 +54,6 @@ std::uint64_t us_between(Clock::time_point a, Clock::time_point b) {
 
 }  // namespace
 
-/// Exact per-server accounting (the atomics Stats reads) plus mirrors in
-/// the process-wide obs registry for exporters and bench artifacts.
-struct Server::Counters {
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> closed{0};
-  std::atomic<std::uint64_t> evicted_idle{0};
-  std::atomic<std::uint64_t> evicted_slow{0};
-  std::atomic<std::uint64_t> accept_faults{0};
-  std::atomic<std::uint64_t> over_limit{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> responses{0};
-  std::atomic<std::int64_t> active{0};
-
-  obs::Counter g_accepted, g_closed, g_evicted, g_bytes_in, g_bytes_out,
-      g_responses;
-  obs::Gauge g_active;
-  obs::Histogram g_request_us;
-
-  Counters() {
-    obs::Registry& r = obs::Registry::instance();
-    g_accepted = r.counter("net.conns_accepted");
-    g_closed = r.counter("net.conns_closed");
-    g_evicted = r.counter("net.conns_evicted");
-    g_bytes_in = r.counter("net.bytes_in");
-    g_bytes_out = r.counter("net.bytes_out");
-    g_responses = r.counter("net.responses");
-    g_active = r.gauge("net.conns_active");
-    g_request_us = r.histogram("net.request_us");
-  }
-};
-
 namespace {
 
 /// The only cross-thread door into an event loop. post_* may be called
@@ -301,9 +269,7 @@ class Conn {
         dead_ = kError;
         return;
       }
-      Server::Counters& c = *loop_.server().counters_;
-      c.bytes_in.fetch_add(r.bytes, std::memory_order_relaxed);
-      c.g_bytes_in.add(r.bytes);
+      loop_.server().bytes_in_.add(r.bytes);
       last_activity_ = t_ready;
       rbuf_.append(buf, r.bytes);
       extract_lines(t_ready);
@@ -360,12 +326,11 @@ class Conn {
     }
     wbuf_ += out;
     const Clock::time_point now = Clock::now();
-    Server::Counters& c = *loop_.server().counters_;
+    const Server& server = loop_.server();
     for (const Session::Done& d : done) {
       if (!d.is_tune) continue;
-      c.responses.fetch_add(1, std::memory_order_relaxed);
-      c.g_responses.inc();
-      c.g_request_us.record(us_between(d.start, now));
+      server.responses_.inc();
+      server.request_us_.record(us_between(d.start, now));
       obs::Tracer::record_span("net.request", d.trace, /*parent_id=*/0,
                                d.start, now, {{"program", d.program}});
     }
@@ -373,14 +338,12 @@ class Conn {
   }
 
   void flush() {
-    Server::Counters& c = *loop_.server().counters_;
     while (woff_ < wbuf_.size()) {
       const IoResult r =
           write_some(fd_.get(), wbuf_.data() + woff_, wbuf_.size() - woff_);
       if (r.status == IoStatus::Ok) {
         woff_ += r.bytes;
-        c.bytes_out.fetch_add(r.bytes, std::memory_order_relaxed);
-        c.g_bytes_out.add(r.bytes);
+        loop_.server().bytes_out_.add(r.bytes);
         last_activity_ = Clock::now();
         continue;
       }
@@ -534,23 +497,15 @@ void EventLoop::run() {
 }
 
 void EventLoop::accept_ready() {
-  Server::Counters& c = *server_.counters_;
   for (;;) {
     if (!listener_.valid()) return;
     bool dropped = false;
     Fd fd = accept_conn(listener_.get(), &dropped);
     if (dropped) {
-      c.accept_faults.fetch_add(1, std::memory_order_relaxed);
+      server_.accept_faults_.inc();
       continue;
     }
     if (!fd.valid()) return;
-    const std::size_t max_conns = server_.opts_.max_conns;
-    if (max_conns != 0 &&
-        c.active.load(std::memory_order_relaxed) >=
-            static_cast<std::int64_t>(max_conns)) {
-      c.over_limit.fetch_add(1, std::memory_order_relaxed);
-      continue;  // fd closes on scope exit: refused before registration
-    }
     EventLoop& target = *server_.loops_[rr_next_++ % server_.loops_.size()];
     if (&target == this) {
       add_conn(fd.release());
@@ -565,6 +520,15 @@ void EventLoop::add_conn(int raw_fd) {
   if (server_.stopping_.load(std::memory_order_relaxed) ||
       server_.force_close_.load(std::memory_order_relaxed))
     return;  // refused before registration; fd closes here
+  // Reserve a slot in one atomic step: loops registering at once must not
+  // all pass a max_conns check made before the others' increments.
+  const std::int64_t open = server_.active_.add(1);
+  const std::size_t max_conns = server_.opts_.max_conns;
+  if (max_conns != 0 && open > static_cast<std::int64_t>(max_conns)) {
+    server_.active_.sub(1);
+    server_.over_limit_.inc();
+    return;
+  }
   if (server_.opts_.sndbuf > 0)
     ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &server_.opts_.sndbuf,
                  sizeof server_.opts_.sndbuf);
@@ -575,13 +539,11 @@ void EventLoop::add_conn(int raw_fd) {
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP;
   ev.data.u64 = id;
-  if (::epoll_ctl(epfd_.get(), EPOLL_CTL_ADD, raw, &ev) != 0)
-    return;  // conn (and fd) destroyed; never registered, never counted
-  Server::Counters& c = *server_.counters_;
-  c.accepted.fetch_add(1, std::memory_order_relaxed);
-  c.active.fetch_add(1, std::memory_order_relaxed);
-  c.g_accepted.inc();
-  c.g_active.add(1);
+  if (::epoll_ctl(epfd_.get(), EPOLL_CTL_ADD, raw, &ev) != 0) {
+    server_.active_.sub(1);  // conn (and fd) destroyed; never registered
+    return;
+  }
+  server_.accepted_.inc();
   Conn* raw_conn = conn.get();
   conns_.emplace(id, std::move(conn));
   if (drain_started_) {
@@ -597,18 +559,10 @@ void EventLoop::close_conn(std::uint64_t id, int reason) {
   if (it == conns_.end()) return;
   ::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, it->second->fd(), nullptr);
   conns_.erase(it);  // destroys Conn: closes the socket, drops the Session
-  Server::Counters& c = *server_.counters_;
-  c.closed.fetch_add(1, std::memory_order_relaxed);
-  c.active.fetch_sub(1, std::memory_order_relaxed);
-  c.g_closed.inc();
-  c.g_active.sub(1);
-  if (reason == Conn::kEvictIdle) {
-    c.evicted_idle.fetch_add(1, std::memory_order_relaxed);
-    c.g_evicted.inc();
-  } else if (reason == Conn::kEvictSlow) {
-    c.evicted_slow.fetch_add(1, std::memory_order_relaxed);
-    c.g_evicted.inc();
-  }
+  server_.closed_.inc();
+  server_.active_.sub(1);
+  if (reason == Conn::kEvictIdle) server_.evicted_idle_.inc();
+  if (reason == Conn::kEvictSlow) server_.evicted_slow_.inc();
 }
 
 void EventLoop::process_mailbox() {
@@ -665,9 +619,7 @@ void EventLoop::force_close_all() {
 // ---- Server --------------------------------------------------------------
 
 Server::Server(svc::TuningService& service, ServerOptions opts)
-    : service_(service),
-      opts_(std::move(opts)),
-      counters_(std::make_unique<Counters>()) {
+    : service_(service), opts_(std::move(opts)) {
   if (opts_.loops == 0) opts_.loops = 1;
   Fd listener = listen_tcp(opts_.port, port_);
   loops_.reserve(opts_.loops);
@@ -689,35 +641,18 @@ void Server::shutdown() {
     // shutdown is not a hot path.
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(opts_.drain_timeout_ms);
-    while (counters_->active.load(std::memory_order_relaxed) > 0 &&
-           Clock::now() < deadline)
+    while (active_.value() > 0 && Clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
 
     force_close_.store(true, std::memory_order_relaxed);
     for (const auto& loop : loops_) loop->mailbox()->kick();
-    while (counters_->active.load(std::memory_order_relaxed) > 0)
+    while (active_.value() > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     stopping_.store(true, std::memory_order_relaxed);
     for (const auto& loop : loops_) loop->mailbox()->kick();
     for (const auto& loop : loops_) loop->join();
   });
-}
-
-Server::Stats Server::stats() const {
-  const Counters& c = *counters_;
-  Stats s;
-  s.accepted = c.accepted.load(std::memory_order_relaxed);
-  s.closed = c.closed.load(std::memory_order_relaxed);
-  s.evicted_idle = c.evicted_idle.load(std::memory_order_relaxed);
-  s.evicted_slow = c.evicted_slow.load(std::memory_order_relaxed);
-  s.accept_faults = c.accept_faults.load(std::memory_order_relaxed);
-  s.over_limit = c.over_limit.load(std::memory_order_relaxed);
-  s.bytes_in = c.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = c.bytes_out.load(std::memory_order_relaxed);
-  s.responses = c.responses.load(std::memory_order_relaxed);
-  s.active = c.active.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace ilc::net

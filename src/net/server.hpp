@@ -28,11 +28,10 @@
 // Destroy order: Server before its TuningService (sessions reference the
 // service; completions outliving a connection are dropped via weak_ptr).
 //
-// Observability: global-registry counters (net.conns_accepted /
-// net.conns_active / net.conns_evicted_* / net.bytes_in / net.bytes_out /
-// net.responses), a net.request_us read-to-write latency histogram, and
-// a per-request `net.request` trace span rooted at socket readability
-// that the service's svc.submit span parents onto.
+// Observability: each server counts into an obs::Registry of its own,
+// read through metrics() (nothing lands in the process-wide registry),
+// and records a per-request `net.request` trace span rooted at socket
+// readability that the service's svc.submit span parents onto.
 #pragma once
 
 #include <atomic>
@@ -41,6 +40,7 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "svc/service.hpp"
 
 namespace ilc::net {
@@ -52,7 +52,8 @@ struct ServerOptions {
   /// the heavy lifting; loops only shuffle bytes, so a small number
   /// multiplexes thousands of connections.
   std::size_t loops = 1;
-  /// Connections beyond this are closed at accept (0 = unbounded).
+  /// Connections beyond this are closed before registration
+  /// (0 = unbounded).
   std::size_t max_conns = 0;
   /// Per-connection write-buffer bound; at or above it the connection
   /// stops reading until the buffer drains below half (backpressure).
@@ -87,33 +88,40 @@ class Server {
   /// Graceful shutdown; idempotent, safe from any non-loop thread.
   void shutdown();
 
-  /// Point-in-time connection accounting, per server instance. The leak
-  /// invariant every test and bench asserts: after shutdown,
-  /// active == 0 and accepted == closed.
-  struct Stats {
-    std::uint64_t accepted = 0;      // registered with an event loop
-    std::uint64_t closed = 0;        // every close, evictions included
-    std::uint64_t evicted_idle = 0;
-    std::uint64_t evicted_slow = 0;
-    std::uint64_t accept_faults = 0; // net.accept failpoint drops
-    std::uint64_t over_limit = 0;    // closed at accept: max_conns
-    std::uint64_t bytes_in = 0;
-    std::uint64_t bytes_out = 0;
-    std::uint64_t responses = 0;     // tune responses written
-    std::int64_t active = 0;
-  };
-  Stats stats() const;
+  /// This server's counts:
+  ///   net.conns_accepted      registered with an event loop
+  ///   net.conns_closed        every close, evictions included
+  ///   net.conns_active        gauge: open now (admission and the
+  ///                           shutdown drain read the same count)
+  ///   net.conns_evicted_idle, net.conns_evicted_slow
+  ///   net.conns_over_limit    refused before registration: max_conns
+  ///   net.accept_faults       dropped by the net.accept failpoint
+  ///   net.bytes_in, net.bytes_out
+  ///   net.responses           tune responses written
+  ///   net.request_us          histogram: readability to response write
+  /// The leak invariant every test and bench asserts: after shutdown,
+  /// net.conns_active == 0 and net.conns_accepted == net.conns_closed.
+  obs::RegistrySnapshot metrics() const { return reg_.snapshot(); }
 
  private:
   friend class EventLoop;
   friend class Conn;
 
-  struct Counters;
-
   svc::TuningService& service_;
   ServerOptions opts_;
   std::uint16_t port_ = 0;
-  std::unique_ptr<Counters> counters_;
+  obs::Registry reg_;
+  const obs::Counter accepted_ = reg_.counter("net.conns_accepted");
+  const obs::Counter closed_ = reg_.counter("net.conns_closed");
+  const obs::Gauge active_ = reg_.gauge("net.conns_active");
+  const obs::Counter evicted_idle_ = reg_.counter("net.conns_evicted_idle");
+  const obs::Counter evicted_slow_ = reg_.counter("net.conns_evicted_slow");
+  const obs::Counter over_limit_ = reg_.counter("net.conns_over_limit");
+  const obs::Counter accept_faults_ = reg_.counter("net.accept_faults");
+  const obs::Counter bytes_in_ = reg_.counter("net.bytes_in");
+  const obs::Counter bytes_out_ = reg_.counter("net.bytes_out");
+  const obs::Counter responses_ = reg_.counter("net.responses");
+  const obs::Histogram request_us_ = reg_.histogram("net.request_us");
   std::vector<std::unique_ptr<class EventLoop>> loops_;
   std::atomic<std::uint64_t> next_conn_id_{1};
   std::atomic<bool> draining_{false};

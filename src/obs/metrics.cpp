@@ -114,6 +114,16 @@ const HistogramSnapshot* RegistrySnapshot::histogram(
   return nullptr;
 }
 
+std::uint64_t RegistrySnapshot::counter_value(const std::string& name) const {
+  const CounterValue* c = counter(name);
+  return c ? c->value : 0;
+}
+
+std::int64_t RegistrySnapshot::gauge_value(const std::string& name) const {
+  const GaugeValue* g = gauge(name);
+  return g ? g->value : 0;
+}
+
 Registry& Registry::instance() {
   static Registry* reg = new Registry();  // never destroyed: instrumented
   return *reg;                            // code may run during exit

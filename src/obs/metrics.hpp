@@ -91,10 +91,12 @@ class Gauge {
   void set(std::int64_t v) const noexcept {
     if (d_) d_->v.store(v, std::memory_order_relaxed);
   }
-  void add(std::int64_t n) const noexcept {
-    if (d_) d_->v.fetch_add(n, std::memory_order_relaxed);
+  /// Returns the value after the update (0 for a default handle), so a
+  /// gauge can double as an admission count: add, then check the result.
+  std::int64_t add(std::int64_t n) const noexcept {
+    return d_ ? d_->v.fetch_add(n, std::memory_order_relaxed) + n : 0;
   }
-  void sub(std::int64_t n) const noexcept { add(-n); }
+  std::int64_t sub(std::int64_t n) const noexcept { return add(-n); }
   std::int64_t value() const {
     return d_ ? d_->v.load(std::memory_order_relaxed) : 0;
   }
@@ -160,6 +162,9 @@ struct RegistrySnapshot {
   const CounterValue* counter(const std::string& name) const;
   const GaugeValue* gauge(const std::string& name) const;
   const HistogramSnapshot* histogram(const std::string& name) const;
+  /// The named value, 0 when nothing by that name is registered.
+  std::uint64_t counter_value(const std::string& name) const;
+  std::int64_t gauge_value(const std::string& name) const;
 };
 
 /// Exponential bucket bounds: start, start*factor, ... (n bounds).
@@ -173,8 +178,8 @@ class Registry {
  public:
   /// The process-wide registry used by the subsystem instrumentation
   /// (sim, search, kbstore, controller). Components that need isolated
-  /// metrics (one svc::MetricsCollector per service instance) construct
-  /// their own.
+  /// metrics construct their own: each svc::TuningService and each
+  /// net::Server counts into one it owns.
   static Registry& instance();
 
   Registry() = default;

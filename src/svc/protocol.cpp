@@ -1,5 +1,6 @@
 #include "svc/protocol.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <sstream>
 
@@ -12,7 +13,6 @@ const char* source_name(Source s) {
     case Source::Error: return "error";
     case Source::WarmCache: return "warm";
     case Source::Search: return "search";
-    case Source::Coalesced: return "coalesced";
     case Source::TimedOut: return "timeout";
     case Source::Rejected: return "rejected";
     case Source::StaleCache: return "stale";
@@ -201,16 +201,30 @@ std::string format_response(const TuningResponse& r) {
   return os.str();
 }
 
-std::string format_metrics(const Metrics& m) {
+std::string format_metrics(const obs::RegistrySnapshot& m) {
+  // A reader can race a gauge's paired updates; the line stays unsigned.
+  const auto level = [&m](const char* name) {
+    return std::max<std::int64_t>(0, m.gauge_value(name));
+  };
+  const obs::HistogramSnapshot* latency = m.histogram("svc.latency_us");
+  const auto latency_pct = [latency](double p) -> std::uint64_t {
+    return latency ? static_cast<std::uint64_t>(latency->percentile(p)) : 0;
+  };
   std::ostringstream os;
-  os << "metrics requests=" << m.requests << " warm_hits=" << m.warm_hits
-     << " coalesced=" << m.coalesced << " searches=" << m.searches
-     << " errors=" << m.errors << " rejected=" << m.rejected
-     << " timed_out=" << m.timed_out << " shed=" << m.shed
-     << " persist_errors=" << m.persist_errors << " queued=" << m.queued
-     << " in_flight=" << m.in_flight << " simulations=" << m.simulations
-     << " p50_latency_us=" << m.p50_latency_us
-     << " p95_latency_us=" << m.p95_latency_us;
+  os << "metrics requests=" << m.counter_value("svc.requests")
+     << " warm_hits=" << m.counter_value("svc.warm_hits")
+     << " coalesced=" << m.counter_value("svc.coalesced")
+     << " searches=" << m.counter_value("svc.searches")
+     << " errors=" << m.counter_value("svc.errors")
+     << " rejected=" << m.counter_value("svc.rejected")
+     << " timed_out=" << m.counter_value("svc.timed_out")
+     << " shed=" << m.counter_value("svc.shed")
+     << " persist_errors=" << m.counter_value("svc.persist_errors")
+     << " queued=" << level("svc.queued")
+     << " in_flight=" << level("svc.in_flight")
+     << " simulations=" << m.counter_value("svc.simulations")
+     << " p50_latency_us=" << latency_pct(50.0)
+     << " p95_latency_us=" << latency_pct(95.0);
   return os.str();
 }
 

@@ -19,11 +19,15 @@
 //   quit
 //
 // Response lines:
-//   ok program=<p> source=<warm|search|coalesced|stale> config="<seq>"
+//   ok program=<p> source=<warm|search|stale|follower> config="<seq>"
 //      base=<n> best=<n> speedup=<x> sims=<n> latency_us=<n>
+//                          (a request that joined an identical one in
+//                          flight shares its reply: source=search)
 //   err <message>          (also: timeout / rejection / persist failures)
 //   metrics requests=<n> warm_hits=<n> coalesced=<n> searches=<n>
 //      errors=<n> rejected=<n> timed_out=<n> shed=<n> persist_errors=<n> ...
+//                          (the service's own svc.* registry, see
+//                          TuningService::metrics)
 //   ok pong shard=<i>/<n> read_only=<0|1>     (ping)
 //
 // Values inside config="..." escape embedded quotes and backslashes with
@@ -34,7 +38,7 @@
 #include <cstddef>
 #include <string>
 
-#include "svc/metrics.hpp"
+#include "obs/metrics.hpp"
 #include "svc/request.hpp"
 
 namespace ilc::svc {
@@ -72,6 +76,9 @@ struct Command {
 Command parse_command(const std::string& line);
 
 std::string format_response(const TuningResponse& r);
-std::string format_metrics(const Metrics& m);
+/// The `metrics` line from a TuningService::metrics() snapshot. Its bytes
+/// are frozen: gauges print clamped at 0, p50/p95 are interpolated from
+/// svc.latency_us, and a name missing from the snapshot prints 0.
+std::string format_metrics(const obs::RegistrySnapshot& m);
 
 }  // namespace ilc::svc

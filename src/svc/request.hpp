@@ -50,8 +50,8 @@ struct TuningRequest {
 enum class Source {
   Error,      // request malformed, search failed, or result not persisted
   WarmCache,  // answered from the knowledge base, zero simulations
-  Search,     // this request ran the search
-  Coalesced,  // joined an identical in-flight request's search
+  Search,     // a search ran for this request, or for the identical
+              // in-flight request it joined (svc.coalesced counts those)
   TimedOut,   // deadline expired before a worker could run the search
   Rejected,   // load shed: admission queue full, nothing cached to serve
   StaleCache, // overload fallback: last known in-memory result, possibly

@@ -46,19 +46,6 @@ TuningResponse cached_response(const std::string& program,
   return r;
 }
 
-// Sharding/replication counters live in the global registry rather than
-// the per-service Metrics digest, whose wire format is frozen (the
-// metrics line is byte-compatible across versions).
-obs::Counter& c_follower_hits() {
-  static obs::Counter c =
-      obs::Registry::instance().counter("svc.follower_hits");
-  return c;
-}
-obs::Counter& c_wrong_shard() {
-  static obs::Counter c = obs::Registry::instance().counter("svc.wrong_shard");
-  return c;
-}
-
 }  // namespace
 
 struct TuningService::Job {
@@ -104,13 +91,17 @@ class TuningService::Completion {
   Completion(const Completion&) = delete;
   Completion& operator=(const Completion&) = delete;
 
-  /// The search phase started: the abandonment fallback must balance the
-  /// in_flight gauge rather than the queued gauge.
-  void set_started() { started_ = true; }
+  /// The search phase started: the job is in flight until it resolves.
+  void set_started() {
+    started_ = true;
+    svc_.in_flight_.add(1);
+  }
 
   void resolve(TuningResponse resp) {
     if (done_) return;
     done_ = true;
+    if (started_) svc_.in_flight_.sub(1);
+    svc_.count_resolved(resp);
     std::vector<ResponseCallback> callbacks;
     {
       std::lock_guard<std::mutex> lock(svc_.mu_);
@@ -140,11 +131,6 @@ class TuningService::Completion {
     r.error = "internal error: request abandoned by worker";
     r.source = Source::Error;
     r.latency_us = elapsed_us(job_->submitted);
-    if (started_) {
-      svc_.metrics_.on_search_failed(r.latency_us);
-    } else {
-      svc_.metrics_.on_timed_out(r.latency_us);  // balances queued--
-    }
     try {
       resolve(std::move(r));
     } catch (...) {
@@ -210,11 +196,12 @@ std::shared_future<TuningResponse> TuningService::submit(
   // thread submitting many requests never chains them together.
   obs::Span span("svc.submit");
   span.annotate("program", req.program);
-  metrics_.on_request();
+  requests_.inc();
 
   // Requests answered without ever being scheduled still owe the
   // completion hook its exactly-once invocation — inline, on this thread.
   const auto resolved = [&on_done, this](TuningResponse r) {
+    count_resolved(r);
     if (on_done) {
       try {
         on_done(r);
@@ -240,7 +227,6 @@ std::shared_future<TuningResponse> TuningService::submit(
     r.program = req.program;
     r.error = e.what();
     r.latency_us = elapsed_us(start);
-    metrics_.on_error(r.latency_us);
     return resolved(std::move(r));
   }
 
@@ -256,8 +242,7 @@ std::shared_future<TuningResponse> TuningService::submit(
     r.error = "wrong shard: owner=" + std::to_string(fp % opts_.shard_count) +
               " shards=" + std::to_string(opts_.shard_count);
     r.latency_us = elapsed_us(start);
-    metrics_.on_error(r.latency_us);
-    c_wrong_shard().add(1);
+    wrong_shard_.inc();
     return resolved(std::move(r));
   }
 
@@ -272,7 +257,7 @@ std::shared_future<TuningResponse> TuningService::submit(
     auto it = inflight_.find(flight_key);
     if (it != inflight_.end()) {
       lookup.annotate("outcome", "coalesced");
-      metrics_.on_coalesced();
+      coalesced_.inc();
       if (on_done) it->second->callbacks.push_back(std::move(on_done));
       return it->second->future;
     }
@@ -288,8 +273,6 @@ std::shared_future<TuningResponse> TuningService::submit(
       TuningResponse r = cached_response(
           req.program, *hit,
           follower ? Source::Follower : Source::WarmCache, start);
-      metrics_.on_warm_hit(r.latency_us);
-      if (follower) c_follower_hits().add(1);
       return resolved(std::move(r));
     }
     if (follower) {
@@ -299,7 +282,6 @@ std::shared_future<TuningResponse> TuningService::submit(
       r.error = "read-only follower: result not replicated yet; "
                 "ask the owning shard's primary";
       r.latency_us = elapsed_us(start);
-      metrics_.on_error(r.latency_us);
       return resolved(std::move(r));
     }
     // Bounded admission: a full queue sheds load instead of growing an
@@ -311,7 +293,6 @@ std::shared_future<TuningResponse> TuningService::submit(
         lookup.annotate("outcome", "stale");
         TuningResponse r = cached_response(req.program, st->second.result,
                                            Source::StaleCache, start);
-        metrics_.on_shed(r.latency_us);
         return resolved(std::move(r));
       }
       lookup.annotate("outcome", "rejected");
@@ -321,7 +302,6 @@ std::shared_future<TuningResponse> TuningService::submit(
                 std::to_string(opts_.max_queue) + ")";
       r.source = Source::Rejected;
       r.latency_us = elapsed_us(start);
-      metrics_.on_rejected(r.latency_us);
       return resolved(std::move(r));
     }
     lookup.annotate("outcome", "miss");
@@ -355,7 +335,7 @@ std::shared_future<TuningResponse> TuningService::submit(
     if (on_done) job->callbacks.push_back(std::move(on_done));
     inflight_.emplace(flight_key, job);
     queue_.push(job);
-    metrics_.on_enqueued();
+    queued_.add(1);
   }
 
   pool_.submit([this] { run_one(); });
@@ -513,6 +493,7 @@ void TuningService::run_one() {
     ILC_ASSERT(!queue_.empty());
     job = queue_.top();
     queue_.pop();
+    queued_.sub(1);
   }
   // From here the guard owns retirement: whatever happens below — search
   // failure, persist failure, a non-std exception, even a path that
@@ -539,12 +520,10 @@ void TuningService::run_one() {
                  std::to_string(job->request.timeout_ms) + ")";
     resp.source = Source::TimedOut;
     resp.latency_us = elapsed_us(job->submitted);
-    metrics_.on_timed_out(resp.latency_us);
     done.resolve(std::move(resp));
     return;
   }
 
-  metrics_.on_search_started();
   done.set_started();
 
   TuningResponse resp;
@@ -602,17 +581,39 @@ void TuningService::run_one() {
       resp.ok = false;
       resp.source = Source::Error;
       persist.annotate("outcome", "error");
-      metrics_.on_persist_error();
+      persist_errors_.inc();
     }
   }
   resp.latency_us = elapsed_us(job->submitted);
-
-  if (failed) {
-    metrics_.on_search_failed(resp.latency_us);
-  } else {
-    metrics_.on_search_finished(resp.simulations, resp.latency_us);
-  }
   done.resolve(std::move(resp));
+}
+
+void TuningService::count_resolved(const TuningResponse& r) {
+  switch (r.source) {
+    case Source::Follower:
+      follower_hits_.inc();
+      [[fallthrough]];
+    case Source::WarmCache:
+      warm_hits_.inc();
+      break;
+    case Source::Search:
+      searches_.inc();
+      simulations_.add(r.simulations);
+      break;
+    case Source::StaleCache:
+      shed_.inc();
+      break;
+    case Source::Rejected:
+      rejected_.inc();
+      break;
+    case Source::TimedOut:
+      timed_out_.inc();
+      break;
+    case Source::Error:
+      errors_.inc();
+      break;
+  }
+  latency_us_.record(r.latency_us);
 }
 
 bool TuningService::save() const {

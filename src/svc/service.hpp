@@ -25,6 +25,11 @@
 // "svc.persist" failpoint), non-std exceptions, and shutdown all erase
 // the in-flight entry and set the promise — a client can hang only by
 // never being scheduled, which bounded admission and deadlines prevent.
+//
+// Metrics: each service counts into an obs::Registry of its own (see
+// metrics()). A resolved request is counted once, under the Source its
+// reply names, before the reply reaches any callback or future — so a
+// `metrics` line never disagrees with the replies clients were sent.
 #pragma once
 
 #include <chrono>
@@ -39,10 +44,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "search/evaluator.hpp"
 #include "search/seedbank.hpp"
 #include "svc/cache.hpp"
-#include "svc/metrics.hpp"
 #include "svc/request.hpp"
 #include "support/thread_pool.hpp"
 
@@ -131,7 +136,20 @@ class TuningService {
   /// Block until no request is queued or running.
   void drain();
 
-  Metrics metrics() const { return metrics_.snapshot(); }
+  /// This service's counts, never mixed with another instance's:
+  ///   svc.requests      every submit
+  ///   svc.coalesced     joined an identical request in flight
+  ///   svc.warm_hits     answered from the KB (follower hits included,
+  ///                     also counted in svc.follower_hits)
+  ///   svc.searches      searches that answered; their svc.simulations
+  ///   svc.shed / svc.rejected / svc.timed_out   overload and deadlines
+  ///   svc.errors        every other failure, svc.persist_errors and
+  ///                     svc.wrong_shard among them
+  ///   svc.queued, svc.in_flight   gauges
+  ///   svc.latency_us    histogram over every resolved request
+  /// Once drained, the outcome counters plus svc.coalesced add up to
+  /// svc.requests. format_metrics renders the protocol's `metrics` line.
+  obs::RegistrySnapshot metrics() const { return reg_.snapshot(); }
   /// Programs clustered into the seed bank (0 without seed_kb_path).
   std::size_t seed_bank_programs() const { return seed_bank_.num_programs(); }
   /// Evaluators currently cached (bounded by Options::evaluator_cache).
@@ -161,6 +179,10 @@ class TuningService {
   using Clock = std::chrono::steady_clock;
 
   std::shared_future<TuningResponse> ready_response(TuningResponse r);
+  /// Count a resolved request under its reply's Source, and its latency.
+  /// Both resolution points (submit's inline answers and
+  /// Completion::resolve) call it before any callback or promise runs.
+  void count_resolved(const TuningResponse& r);
   void run_one();
   TuningResponse execute(const Job& job);
   /// Fetch-or-create the job's evaluator, bumping it in the LRU order and
@@ -202,7 +224,22 @@ class TuningService {
   std::unordered_map<std::string, StaleSlot> stale_;
   std::list<std::string> stale_lru_;
 
-  MetricsCollector metrics_;
+  obs::Registry reg_;
+  const obs::Counter requests_ = reg_.counter("svc.requests");
+  const obs::Counter coalesced_ = reg_.counter("svc.coalesced");
+  const obs::Counter warm_hits_ = reg_.counter("svc.warm_hits");
+  const obs::Counter follower_hits_ = reg_.counter("svc.follower_hits");
+  const obs::Counter searches_ = reg_.counter("svc.searches");
+  const obs::Counter simulations_ = reg_.counter("svc.simulations");
+  const obs::Counter shed_ = reg_.counter("svc.shed");
+  const obs::Counter rejected_ = reg_.counter("svc.rejected");
+  const obs::Counter timed_out_ = reg_.counter("svc.timed_out");
+  const obs::Counter errors_ = reg_.counter("svc.errors");
+  const obs::Counter persist_errors_ = reg_.counter("svc.persist_errors");
+  const obs::Counter wrong_shard_ = reg_.counter("svc.wrong_shard");
+  const obs::Gauge queued_ = reg_.gauge("svc.queued");
+  const obs::Gauge in_flight_ = reg_.gauge("svc.in_flight");
+  const obs::Histogram latency_us_ = reg_.histogram("svc.latency_us");
 
   // Destroyed first (reverse member order): the pool drains its queue on
   // destruction, and its jobs touch every field above.

@@ -2,9 +2,10 @@
 // pipelining order, module IR over a socket, the protocol line-length
 // limit, half-close, slow-reader and idle eviction, graceful-shutdown
 // drain, mid-request client disconnect, injected accept/read/write
-// faults, the refusal of `save <path>` from TCP clients, and the leak
-// invariant every scenario ends on: after shutdown, accepted == closed
-// and active == 0. Then the blocking transport:
+// faults, the max_conns bound across several loops, the refusal of
+// `save <path>` from TCP clients, and the leak invariant every scenario
+// ends on: after shutdown, the server's net.conns_accepted ==
+// net.conns_closed and net.conns_active == 0. Then the blocking transport:
 // request_line through a Listener, and the deadline and stop flag that
 // end a blocked read or write.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <optional>
@@ -28,6 +30,7 @@
 #include "net/blocking.hpp"
 #include "net/server.hpp"
 #include "net/session.hpp"
+#include "obs/metrics.hpp"
 #include "support/failpoint.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
@@ -115,12 +118,21 @@ bool wait_until(const std::function<bool()>& pred,
   return pred();
 }
 
+std::uint64_t count(const net::Server& server, const char* name) {
+  return server.metrics().counter_value(name);
+}
+
+std::int64_t open_conns(const net::Server& server) {
+  return server.metrics().gauge_value("net.conns_active");
+}
+
 /// The invariant every test ends on: nothing leaked, nothing hung.
 void expect_no_leaks(net::Server& server) {
   server.shutdown();
-  const net::Server::Stats s = server.stats();
-  EXPECT_EQ(s.accepted, s.closed);
-  EXPECT_EQ(s.active, 0);
+  const obs::RegistrySnapshot m = server.metrics();
+  EXPECT_EQ(m.counter_value("net.conns_accepted"),
+            m.counter_value("net.conns_closed"));
+  EXPECT_EQ(m.gauge_value("net.conns_active"), 0);
 }
 
 struct FailpointGuard {
@@ -294,7 +306,7 @@ TEST(Net, SlowReaderIsEvicted) {
   for (int i = 0; i < 2000; ++i) batch += "metrics\n";
   c.send_str(batch);
   ASSERT_TRUE(wait_until(
-      [&] { return server.stats().evicted_slow >= 1; }))
+      [&] { return count(server, "net.conns_evicted_slow") >= 1; }))
       << "slow reader was not evicted";
   // The receive buffer still holds whatever flushed before the stall;
   // drain it down to the close the eviction produced.
@@ -311,7 +323,7 @@ TEST(Net, IdleConnectionIsEvicted) {
   net::Server server(service, opts);
   Client c(server.port());  // connect, then say nothing
   ASSERT_TRUE(wait_until(
-      [&] { return server.stats().evicted_idle >= 1; }))
+      [&] { return count(server, "net.conns_evicted_idle") >= 1; }))
       << "idle connection was not evicted";
   EXPECT_TRUE(c.at_eof());
   expect_no_leaks(server);
@@ -335,9 +347,7 @@ TEST(Net, GracefulShutdownDrainsInFlightRequests) {
   ASSERT_TRUE(line.has_value()) << "drain dropped an in-flight response";
   EXPECT_EQ(line->rfind("ok program=fir", 0), 0u) << *line;
   EXPECT_TRUE(c.at_eof());
-  const net::Server::Stats s = server.stats();
-  EXPECT_EQ(s.accepted, s.closed);
-  EXPECT_EQ(s.active, 0);
+  expect_no_leaks(server);
 }
 
 TEST(Net, ClientDisconnectMidRequestAbandonsCleanly) {
@@ -355,7 +365,7 @@ TEST(Net, ClientDisconnectMidRequestAbandonsCleanly) {
   }
   // The completion finds no session to deliver to; the connection must
   // close on its own — no hung worker, no leaked conn, bounded time.
-  ASSERT_TRUE(wait_until([&] { return server.stats().active == 0; }))
+  ASSERT_TRUE(wait_until([&] { return open_conns(server) == 0; }))
       << "abandoned connection never closed";
   expect_no_leaks(server);
   // And the service itself is still healthy.
@@ -382,7 +392,7 @@ TEST(Net, AcceptFailpointDropsConnectionsThenRecovers) {
   const auto line = ok.read_line();
   ASSERT_TRUE(line.has_value());
   EXPECT_EQ(line->rfind("metrics ", 0), 0u) << *line;
-  EXPECT_EQ(server.stats().accept_faults, 2u);
+  EXPECT_EQ(count(server, "net.accept_faults"), 2u);
   expect_no_leaks(server);
 }
 
@@ -427,8 +437,39 @@ TEST(Net, MaxConnsRefusesBeyondLimit) {
   Client refused(server.port());
   refused.send_str("metrics\n");
   EXPECT_TRUE(refused.at_eof());
-  ASSERT_TRUE(wait_until([&] { return server.stats().over_limit >= 1; }));
+  ASSERT_TRUE(
+      wait_until([&] { return count(server, "net.conns_over_limit") >= 1; }));
   expect_no_leaks(server);
+}
+
+// max_conns bounds the population when several loops register at once.
+// The first accept stalls while a burst of clients queues in the backlog;
+// the acceptor then deals them round-robin to four loops in one sweep. A
+// limit checked at accept, before the other loops had registered their
+// share, let 3 to 5 of them in.
+TEST(Net, MaxConnsHoldsAcrossLoops) {
+  FailpointGuard guard;
+  svc::TuningService service{svc::TuningService::Options{}};
+  net::ServerOptions opts;
+  opts.loops = 4;
+  opts.max_conns = 2;
+  constexpr std::uint64_t kClients = 8;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(round);
+    net::Server server(service, opts);
+    support::Failpoints::instance().configure("net.accept=delay:300*1");
+    std::deque<Client> clients;
+    for (std::uint64_t i = 0; i < kClients; ++i)
+      clients.emplace_back(server.port());
+    ASSERT_TRUE(wait_until([&] {
+      return count(server, "net.conns_accepted") +
+                 count(server, "net.conns_over_limit") ==
+             kClients;
+    }));
+    EXPECT_EQ(count(server, "net.conns_accepted"), 2u);
+    EXPECT_EQ(open_conns(server), 2);
+    expect_no_leaks(server);
+  }
 }
 
 TEST(Net, ManyConnectionsNoLeaks) {
@@ -443,10 +484,9 @@ TEST(Net, ManyConnectionsNoLeaks) {
     EXPECT_EQ(line->rfind("ok program=fir", 0), 0u) << *line;
     EXPECT_TRUE(c.at_eof());
   }
-  ASSERT_TRUE(wait_until([&] { return server.stats().active == 0; }));
-  const net::Server::Stats s = server.stats();
-  EXPECT_EQ(s.accepted, 32u);
-  EXPECT_EQ(s.responses, 32u);
+  ASSERT_TRUE(wait_until([&] { return open_conns(server) == 0; }));
+  EXPECT_EQ(count(server, "net.conns_accepted"), 32u);
+  EXPECT_EQ(count(server, "net.responses"), 32u);
   expect_no_leaks(server);
 }
 

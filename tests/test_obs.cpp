@@ -3,6 +3,7 @@
 // buffer wraparound, and the disabled-mode no-op guarantees.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -66,11 +67,44 @@ TEST(ObsMetrics, GaugeSetAddSub) {
   obs::Registry reg;
   obs::Gauge g = reg.gauge("test.gauge");
   g.set(10);
-  g.add(5);
-  g.sub(7);
+  EXPECT_EQ(g.add(5), 15);  // add and sub return the updated value
+  EXPECT_EQ(g.sub(7), 8);
   EXPECT_EQ(g.value(), 8);
   g.sub(20);
   EXPECT_EQ(g.value(), -12);  // gauges may legitimately go negative
+  EXPECT_EQ(obs::Gauge{}.add(3), 0);
+}
+
+// The admission idiom: reserve with add, undo past the limit. However the
+// threads interleave, exactly `limit` of them hold a slot.
+TEST(ObsMetrics, GaugeAddAdmitsExactlyUpToALimit) {
+  obs::Registry reg;
+  const obs::Gauge open = reg.gauge("test.open");
+  constexpr std::int64_t kLimit = 3;
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 16; ++t)
+    threads.emplace_back([&] {
+      if (open.add(1) > kLimit) {
+        open.sub(1);
+      } else {
+        admitted.fetch_add(1);
+      }
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(admitted.load(), kLimit);
+  EXPECT_EQ(open.value(), kLimit);
+}
+
+TEST(ObsMetrics, SnapshotValuesDefaultToZero) {
+  obs::Registry reg;
+  reg.counter("test.c").add(4);
+  reg.gauge("test.g").set(-2);
+  const obs::RegistrySnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("test.c"), 4u);
+  EXPECT_EQ(snap.gauge_value("test.g"), -2);
+  EXPECT_EQ(snap.counter_value("test.missing"), 0u);
+  EXPECT_EQ(snap.gauge_value("test.c"), 0);  // a counter is not a gauge
 }
 
 TEST(ObsMetrics, HistogramSnapshotAndPercentiles) {

@@ -18,6 +18,7 @@
 #include "ir/fingerprint.hpp"
 #include "kbstore/log_format.hpp"
 #include "kbstore/store.hpp"
+#include "obs/metrics.hpp"
 #include "repl/applier.hpp"
 #include "repl/router.hpp"
 #include "repl/ship.hpp"
@@ -590,6 +591,9 @@ TEST(ReplServing, WrongShardRefusedBeforeTouchingTheKb) {
             std::string::npos);
   EXPECT_EQ(r.simulations, 0u);
   EXPECT_EQ(svc.kb_size(), 0u);
+  const obs::RegistrySnapshot m = svc.metrics();
+  EXPECT_EQ(m.counter_value("svc.wrong_shard"), 1u);
+  EXPECT_EQ(m.counter_value("svc.errors"), 1u);
 }
 
 TEST(ReplServing, FollowerServiceServesReplicatedHitsReadOnly) {
@@ -599,15 +603,13 @@ TEST(ReplServing, FollowerServiceServesReplicatedHitsReadOnly) {
   svc::TuningRequest req;
   req.program = "fir";
   req.budget = 2;
-  {
-    svc::TuningService::Options lopts;
-    lopts.workers = 1;
-    lopts.kb_path = leader.path;
-    svc::TuningService leader_svc(lopts);
-    const svc::TuningResponse r = leader_svc.tune(req);
-    ASSERT_TRUE(r.ok);
-    ASSERT_TRUE(leader_svc.save());
-  }  // leader service closed: its store directory is at rest
+  svc::TuningService::Options lopts;
+  lopts.workers = 1;
+  lopts.kb_path = leader.path;
+  svc::TuningService leader_svc(lopts);
+  const svc::TuningResponse r = leader_svc.tune(req);
+  ASSERT_TRUE(r.ok);
+  ASSERT_TRUE(leader_svc.save());
 
   auto a = repl::Applier::open(follower.path);
   ASSERT_TRUE(a);
@@ -623,6 +625,14 @@ TEST(ReplServing, FollowerServiceServesReplicatedHitsReadOnly) {
   EXPECT_EQ(hit.source, svc::Source::Follower);
   EXPECT_EQ(hit.simulations, 0u);
   EXPECT_GT(hit.best_metric, 0u);
+  // Counted by the service that served it, not by its leader in the same
+  // process.
+  const obs::RegistrySnapshot fm = follower_svc.metrics();
+  EXPECT_EQ(fm.counter_value("svc.follower_hits"), 1u);
+  EXPECT_EQ(fm.counter_value("svc.warm_hits"), 1u);
+  const obs::RegistrySnapshot lm = leader_svc.metrics();
+  EXPECT_EQ(lm.counter_value("svc.follower_hits"), 0u);
+  EXPECT_EQ(lm.counter_value("svc.warm_hits"), 0u);
 
   svc::TuningRequest miss = req;
   miss.program = "crc32";  // never tuned on the leader

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "ir/fingerprint.hpp"
 #include "ir/printer.hpp"
 #include "kb/knowledge_base.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "search/space.hpp"
 #include "support/assert.hpp"
@@ -40,6 +42,17 @@ svc::TuningRequest request(const std::string& program, unsigned budget = 8) {
   return req;
 }
 
+/// The outcome counters of a service's metrics. Once it is drained, each
+/// request sits in exactly one of them, so they add up to svc.requests.
+std::uint64_t outcomes(const obs::RegistrySnapshot& m) {
+  std::uint64_t sum = 0;
+  for (const char* name :
+       {"svc.warm_hits", "svc.coalesced", "svc.searches", "svc.errors",
+        "svc.rejected", "svc.timed_out", "svc.shed"})
+    sum += m.counter_value(name);
+  return sum;
+}
+
 TEST(Svc, AnswersWithValidConfigAndMetrics) {
   svc::TuningService service({.workers = 2});
   const svc::TuningResponse r = service.tune(request("fir", 6));
@@ -50,12 +63,12 @@ TEST(Svc, AnswersWithValidConfigAndMetrics) {
   EXPECT_GE(r.speedup, 1.0);
   EXPECT_GT(r.simulations, 0u);
 
-  const svc::Metrics m = service.metrics();
-  EXPECT_EQ(m.requests, 1u);
-  EXPECT_EQ(m.searches, 1u);
-  EXPECT_EQ(m.simulations, r.simulations);
-  EXPECT_EQ(m.queued, 0u);
-  EXPECT_EQ(m.in_flight, 0u);
+  const obs::RegistrySnapshot m = service.metrics();
+  EXPECT_EQ(m.counter_value("svc.requests"), 1u);
+  EXPECT_EQ(m.counter_value("svc.searches"), 1u);
+  EXPECT_EQ(m.counter_value("svc.simulations"), r.simulations);
+  EXPECT_EQ(m.gauge_value("svc.queued"), 0);
+  EXPECT_EQ(m.gauge_value("svc.in_flight"), 0);
 }
 
 // Responses are deterministic in the request alone: fanning evaluation
@@ -151,11 +164,14 @@ TEST(Svc, IdenticalConcurrentRequestsRunOneSearch) {
     EXPECT_EQ(r.best_metric, futures.front().get().best_metric);
   }
 
-  const svc::Metrics m = service.metrics();
-  EXPECT_EQ(m.requests, kClients);
-  EXPECT_EQ(m.searches, 1u);
-  EXPECT_EQ(m.coalesced + m.warm_hits, kClients - 1);
-  EXPECT_LE(m.simulations, 31u);  // one search's budget + baseline
+  const obs::RegistrySnapshot m = service.metrics();
+  EXPECT_EQ(m.counter_value("svc.requests"), kClients);
+  EXPECT_EQ(m.counter_value("svc.searches"), 1u);
+  EXPECT_EQ(m.counter_value("svc.coalesced") +
+                m.counter_value("svc.warm_hits"),
+            kClients - 1);
+  // One search's budget + baseline.
+  EXPECT_LE(m.counter_value("svc.simulations"), 31u);
 }
 
 // (b) A second service instance over the same KB store answers a
@@ -180,10 +196,10 @@ TEST(Svc, WarmCachePersistsAcrossServiceInstances) {
     EXPECT_EQ(r.simulations, 0u);
     EXPECT_EQ(r.best_metric, tuned_best);
 
-    const svc::Metrics m = service.metrics();
-    EXPECT_EQ(m.warm_hits, 1u);
-    EXPECT_EQ(m.searches, 0u);
-    EXPECT_EQ(m.simulations, 0u);
+    const obs::RegistrySnapshot m = service.metrics();
+    EXPECT_EQ(m.counter_value("svc.warm_hits"), 1u);
+    EXPECT_EQ(m.counter_value("svc.searches"), 0u);
+    EXPECT_EQ(m.counter_value("svc.simulations"), 0u);
   }
   fs::remove_all(path);
 }
@@ -225,7 +241,7 @@ TEST(Svc, WarmRestartServesFromRecoveredStoreAfterTornWal) {
     EXPECT_EQ(b.source, svc::Source::WarmCache);
     EXPECT_EQ(a.best_metric, fir_best);
     EXPECT_EQ(b.best_metric, rle_best);
-    EXPECT_EQ(service.metrics().simulations, 0u);
+    EXPECT_EQ(service.metrics().counter_value("svc.simulations"), 0u);
   }
   fs::remove_all(path);
 }
@@ -309,17 +325,19 @@ TEST(Svc, MetricsConsistentAfterConcurrentBurst) {
   for (auto& c : clients) c.join();
   service.drain();
 
-  const svc::Metrics m = service.metrics();
-  EXPECT_EQ(m.requests, kThreads * kPerThread);
+  const obs::RegistrySnapshot m = service.metrics();
+  EXPECT_EQ(m.counter_value("svc.requests"), kThreads * kPerThread);
   // Every request is accounted under exactly one outcome.
-  EXPECT_EQ(m.warm_hits + m.coalesced + m.searches + m.errors + m.rejected +
-                m.timed_out + m.shed,
-            m.requests);
-  EXPECT_EQ(m.rejected + m.timed_out + m.shed, 0u);  // never overloaded
-  EXPECT_EQ(m.searches, programs.size());  // one real search per program
-  EXPECT_EQ(m.queued, 0u);
-  EXPECT_EQ(m.in_flight, 0u);
-  EXPECT_GT(m.simulations, 0u);
+  EXPECT_EQ(outcomes(m), m.counter_value("svc.requests"));
+  // Never overloaded.
+  EXPECT_EQ(m.counter_value("svc.rejected") + m.counter_value("svc.timed_out") +
+                m.counter_value("svc.shed"),
+            0u);
+  // One real search per program.
+  EXPECT_EQ(m.counter_value("svc.searches"), programs.size());
+  EXPECT_EQ(m.gauge_value("svc.queued"), 0);
+  EXPECT_EQ(m.gauge_value("svc.in_flight"), 0);
+  EXPECT_GT(m.counter_value("svc.simulations"), 0u);
 }
 
 // Protocol lines take the path every transport gives them: parse, then
@@ -359,7 +377,7 @@ TEST(Svc, TimeoutBeyondTheClockRangeMeansNoDeadline) {
     const svc::TuningResponse r = service.tune(c.request);
     EXPECT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.source, svc::Source::Search);
-    EXPECT_EQ(service.metrics().timed_out, 0u);
+    EXPECT_EQ(service.metrics().counter_value("svc.timed_out"), 0u);
   }
 }
 
@@ -369,7 +387,7 @@ TEST(Svc, UnknownProgramYieldsErrorResponseNotThrow) {
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.error.empty());
   EXPECT_EQ(r.source, svc::Source::Error);
-  EXPECT_EQ(service.metrics().errors, 1u);
+  EXPECT_EQ(service.metrics().counter_value("svc.errors"), 1u);
 }
 
 // Inline IR that does not parse, or parses but fails ir::verify, is
@@ -449,9 +467,9 @@ TEST(Svc, MalformedInlineIrYieldsErrorResponse) {
     EXPECT_FALSE(r.ok) << c.what;
     EXPECT_EQ(svc::format_response(r).rfind("err ", 0), 0u) << c.what;
     EXPECT_NE(r.error.find(c.what), std::string::npos) << r.error;
-    const svc::Metrics m = service.metrics();
-    EXPECT_EQ(m.errors, 1u) << c.what;
-    EXPECT_EQ(m.searches, 0u) << c.what;
+    const obs::RegistrySnapshot m = service.metrics();
+    EXPECT_EQ(m.counter_value("svc.errors"), 1u) << c.what;
+    EXPECT_EQ(m.counter_value("svc.searches"), 0u) << c.what;
     EXPECT_EQ(service.evaluator_count(), 0u) << c.what;
     // The service that refused the module goes on answering.
     EXPECT_TRUE(service.tune(request("fir", 2)).ok) << c.what;
@@ -518,10 +536,10 @@ TEST_F(SvcLifecycle, PersistFaultResolvesClientAndDoesNotPoisonFlights) {
     EXPECT_NE(r.error.find("persist failed"), std::string::npos) << r.error;
     EXPECT_EQ(r.source, svc::Source::Error);
 
-    svc::Metrics m = service.metrics();
-    EXPECT_EQ(m.persist_errors, 1u);
-    EXPECT_EQ(m.errors, 1u);
-    EXPECT_EQ(m.in_flight, 0u);
+    obs::RegistrySnapshot m = service.metrics();
+    EXPECT_EQ(m.counter_value("svc.persist_errors"), 1u);
+    EXPECT_EQ(m.counter_value("svc.errors"), 1u);
+    EXPECT_EQ(m.gauge_value("svc.in_flight"), 0);
 
     // The flight was retired: with the fault cleared, the same request is
     // a fresh search (not coalesced, not a hang, not a warm hit — the
@@ -532,8 +550,9 @@ TEST_F(SvcLifecycle, PersistFaultResolvesClientAndDoesNotPoisonFlights) {
     EXPECT_EQ(again.source, svc::Source::Search);
 
     m = service.metrics();
-    EXPECT_EQ(m.searches, 1u);  // only the second one succeeded
-    EXPECT_EQ(m.coalesced, 0u);
+    // Only the second one succeeded.
+    EXPECT_EQ(m.counter_value("svc.searches"), 1u);
+    EXPECT_EQ(m.counter_value("svc.coalesced"), 0u);
   }
   fs::remove_all(path);
 }
@@ -569,7 +588,7 @@ TEST_F(SvcLifecycle, QueueFullRejectionIsDeterministic) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.source, svc::Source::Rejected);
   EXPECT_NE(r.error.find("queue full"), std::string::npos) << r.error;
-  EXPECT_EQ(service.metrics().rejected, 1u);
+  EXPECT_EQ(service.metrics().counter_value("svc.rejected"), 1u);
 
   support::Failpoints::instance().unset_all();  // release the worker
   EXPECT_TRUE(a.get().ok) << a.get().error;
@@ -602,8 +621,8 @@ TEST_F(SvcLifecycle, OverloadServesStaleResultWhenAvailable) {
   EXPECT_EQ(stale.source, svc::Source::StaleCache);
   EXPECT_EQ(stale.best_metric, first.best_metric);
   EXPECT_EQ(stale.baseline_metric, first.baseline_metric);
-  EXPECT_EQ(service.metrics().shed, 1u);
-  EXPECT_EQ(service.metrics().rejected, 0u);
+  EXPECT_EQ(service.metrics().counter_value("svc.shed"), 1u);
+  EXPECT_EQ(service.metrics().counter_value("svc.rejected"), 0u);
 
   support::Failpoints::instance().unset_all();
   EXPECT_TRUE(blocked.get().ok);
@@ -633,11 +652,11 @@ TEST_F(SvcLifecycle, ExpiredDeadlineResolvesTimedOutWithoutSearch) {
   EXPECT_EQ(r.simulations, 0u);
   EXPECT_TRUE(a.get().ok);
 
-  const svc::Metrics m = service.metrics();
-  EXPECT_EQ(m.timed_out, 1u);
-  EXPECT_EQ(m.searches, 1u);  // only "fir" ever ran
-  EXPECT_EQ(m.queued, 0u);
-  EXPECT_EQ(m.in_flight, 0u);
+  const obs::RegistrySnapshot m = service.metrics();
+  EXPECT_EQ(m.counter_value("svc.timed_out"), 1u);
+  EXPECT_EQ(m.counter_value("svc.searches"), 1u);  // only "fir" ever ran
+  EXPECT_EQ(m.gauge_value("svc.queued"), 0);
+  EXPECT_EQ(m.gauge_value("svc.in_flight"), 0);
 }
 
 // Destruction drains the queue and resolves every outstanding future even
@@ -660,6 +679,70 @@ TEST_F(SvcLifecycle, DestructorResolvesAllFuturesUnderPersistFaults) {
     EXPECT_NE(r.error.find("persist failed"), std::string::npos) << r.error;
   }
   fs::remove_all(path);
+}
+
+// Each request is counted once, under the outcome its reply names, before
+// the reply reaches the client. One service is driven through every
+// outcome; the replies, tallied by source, match the counters.
+TEST_F(SvcLifecycle, EveryOutcomeIsCountedOnceUnderItsReply) {
+  svc::TuningService::Options opts;
+  opts.workers = 1;
+  opts.max_queue = 1;
+  svc::TuningService service(opts);
+  const std::map<svc::Source, std::string> counter_of = {
+      {svc::Source::Search, "svc.searches"},
+      {svc::Source::WarmCache, "svc.warm_hits"},
+      {svc::Source::Error, "svc.errors"},
+      {svc::Source::Rejected, "svc.rejected"},
+      {svc::Source::StaleCache, "svc.shed"},
+      {svc::Source::TimedOut, "svc.timed_out"}};
+  std::map<std::string, std::uint64_t> tally;
+  std::uint64_t sims = 0;
+  const auto note = [&](const svc::TuningResponse& r) {
+    ++tally[counter_of.at(r.source)];
+    if (r.source == svc::Source::Search) sims += r.simulations;
+  };
+
+  note(service.tune(request("fir", 5)));             // search
+  note(service.tune(request("fir", 5)));             // warm hit
+  note(service.tune(request("no-such-workload")));  // malformed
+  arm("svc.persist=error*1");
+  note(service.tune(request("crc32", 5)));  // persist failure, kept stale
+
+  const std::uint64_t base = hits("svc.eval");
+  arm("svc.eval=block");
+  auto flight = service.submit(request("rle", 5));
+  wait_for_hits("svc.eval", base);  // the worker is parked in rle's search
+  auto joined = service.submit(request("rle", 5));
+  svc::TuningRequest late = request("dotprod", 5);
+  late.timeout_ms = 1;
+  auto expired = service.submit(late);  // takes the one queue slot
+  note(service.submit(request("bitcount", 5)).get());  // rejected
+  note(service.submit(request("crc32", 5)).get());     // shed
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  support::Failpoints::instance().unset_all();  // release the worker
+  note(flight.get());
+  // The duplicate shares its flight's reply.
+  EXPECT_EQ(joined.get().source, svc::Source::Search);
+  ++tally["svc.coalesced"];
+  note(expired.get());
+  service.drain();
+
+  const obs::RegistrySnapshot m = service.metrics();
+  EXPECT_EQ(tally.size(), 7u);  // every outcome was reached
+  for (const auto& [name, n] : tally)
+    EXPECT_EQ(m.counter_value(name), n) << name;
+  EXPECT_EQ(m.counter_value("svc.requests"), 9u);
+  EXPECT_EQ(outcomes(m), m.counter_value("svc.requests"));
+  EXPECT_EQ(m.counter_value("svc.persist_errors"), 1u);
+  EXPECT_EQ(m.counter_value("svc.simulations"), sims);
+  const obs::HistogramSnapshot* latency = m.histogram("svc.latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, m.counter_value("svc.requests") -
+                                m.counter_value("svc.coalesced"));
+  EXPECT_EQ(m.gauge_value("svc.queued"), 0);
+  EXPECT_EQ(m.gauge_value("svc.in_flight"), 0);
 }
 
 // The evaluator cache is bounded (LRU): a service capped at one evaluator
@@ -959,25 +1042,29 @@ TEST(SvcTrace, RequestSpansShareOneTraceId) {
   fs::remove_all(path);
 }
 
-// The `metrics` protocol verb is a stability surface: moving the collector
-// onto the obs registry must not change a byte of its output.
+// The `metrics` protocol verb is a stability surface: rendering it from the
+// service's registry must not change a byte of its output.
 TEST(SvcProtocol, FormatMetricsIsByteCompatible) {
-  svc::Metrics m;
-  m.requests = 12;
-  m.warm_hits = 3;
-  m.coalesced = 2;
-  m.searches = 6;
-  m.errors = 1;
-  m.rejected = 4;
-  m.timed_out = 2;
-  m.shed = 3;
-  m.persist_errors = 1;
-  m.queued = 4;
-  m.in_flight = 2;
-  m.simulations = 180;
-  m.p50_latency_us = 1500;
-  m.p95_latency_us = 9000;
-  EXPECT_EQ(svc::format_metrics(m),
+  obs::Registry reg;
+  reg.counter("svc.requests").add(12);
+  reg.counter("svc.warm_hits").add(3);
+  reg.counter("svc.coalesced").add(2);
+  reg.counter("svc.searches").add(6);
+  reg.counter("svc.errors").add(1);
+  reg.counter("svc.rejected").add(4);
+  reg.counter("svc.timed_out").add(2);
+  reg.counter("svc.shed").add(3);
+  reg.counter("svc.persist_errors").add(1);
+  reg.gauge("svc.queued").set(4);
+  reg.gauge("svc.in_flight").set(2);
+  reg.counter("svc.simulations").add(180);
+  // Bucket bounds at the two estimates make both exact: 10 of 20 values
+  // are at most 1500 (p50), 19 of 20 at most 9000 (p95).
+  const obs::Histogram latency = reg.histogram("svc.latency_us", {1500, 9000});
+  for (int i = 0; i < 10; ++i) latency.record(1000);
+  for (int i = 0; i < 9; ++i) latency.record(5000);
+  latency.record(20000);
+  EXPECT_EQ(svc::format_metrics(reg.snapshot()),
             "metrics requests=12 warm_hits=3 coalesced=2 searches=6 "
             "errors=1 rejected=4 timed_out=2 shed=3 persist_errors=1 "
             "queued=4 in_flight=2 simulations=180 "
@@ -1002,10 +1089,13 @@ TEST(SvcProtocol, FormatsResponsesAndMetrics) {
   r.error = "boom";
   EXPECT_EQ(svc::format_response(r), "err boom");
 
-  svc::Metrics m;
-  m.requests = 7;
-  const std::string mline = svc::format_metrics(m);
-  EXPECT_NE(mline.find("metrics requests=7"), std::string::npos);
+  obs::Registry reg;
+  reg.counter("svc.requests").add(7);
+  reg.gauge("svc.queued").set(-1);  // printed clamped at 0
+  const std::string mline = svc::format_metrics(reg.snapshot());
+  EXPECT_NE(mline.find("metrics requests=7 warm_hits=0 "), std::string::npos)
+      << mline;
+  EXPECT_NE(mline.find(" queued=0 "), std::string::npos) << mline;
 }
 
 }  // namespace
