@@ -9,9 +9,12 @@
 //
 // Per width it also records where the evaluations went: `pipelines` is
 // how many ran the module copy, the pass pipeline and the fingerprint
-// (sequence-index misses), `sims` how many of those simulated (fingerprint
-// misses). At one worker both counts are deterministic for a seed and
-// budget, so the baseline gate compares counts, not host speed.
+// (sequence-index misses), `pass_runs` how many passes those pipelines
+// executed (the run's prefix states skip the rest), `sims` how many of
+// them simulated (fingerprint misses). At one worker all three counts are
+// deterministic for a seed and budget, so the baseline gate compares
+// counts, not host speed. At more workers `pass_runs` depends on which
+// worker stores a prefix state first.
 //
 //   ILC_GA_BUDGET      evaluations per run   (default 400)
 //   ILC_GA_SEED        GA seed               (default 2008)
@@ -20,8 +23,8 @@
 //   --baseline <json>  compare against a prior record (a --json summary, or
 //                      a file holding one under a "ga_throughput" key);
 //                      a non-smoke run at the record's seed and budget
-//                      exits nonzero when its 1-worker pipeline or
-//                      simulation count exceeds the record's
+//                      exits nonzero when its 1-worker pipeline, pass-run
+//                      or simulation count exceeds the record's
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -46,6 +49,7 @@ struct Run {
   search::SearchTrace trace;
   double secs = 0.0;
   std::size_t pipelines = 0;
+  std::size_t pass_runs = 0;
   std::size_t simulations = 0;
 };
 
@@ -69,6 +73,7 @@ Run run_ga(const ir::Module& mod, unsigned budget, std::uint64_t seed,
   out.simulations = eval.simulations();
   out.pipelines =
       eval.simulations() + eval.cache_hits() - eval.sequence_hits();
+  out.pass_runs = eval.pass_runs();
   return out;
 }
 
@@ -90,6 +95,7 @@ struct Baseline {
   std::uint64_t budget = 0;
   std::uint64_t seed = 0;
   std::uint64_t pipelines = 0;
+  std::uint64_t pass_runs = 0;
   std::uint64_t simulations = 0;
 };
 
@@ -122,6 +128,7 @@ Baseline load_baseline(const std::string& path) {
              field("\"budget\"", section, &b.budget) != npos &&
              field("\"seed\"", section, &b.seed) != npos &&
              field("\"pipelines\"", row, &b.pipelines) != npos &&
+             field("\"pass_runs\"", row, &b.pass_runs) != npos &&
              field("\"simulations\"", row, &b.simulations) != npos;
   return b;
 }
@@ -141,7 +148,7 @@ int main(int argc, char** argv) {
               host_threads);
 
   support::Table table({"workers", "secs", "evals/s", "speedup", "pipelines",
-                        "sims", "trace == seq"});
+                        "pass runs", "sims", "trace == seq"});
   std::vector<std::string> json_rows;
   bool ok = true;
   Run reference;
@@ -157,6 +164,7 @@ int main(int argc, char** argv) {
     const double eps = run.trace.evaluations / run.secs;
     table.add_row({std::to_string(workers), fmt(run.secs), fmt(eps),
                    fmt(speedup), std::to_string(run.pipelines),
+                   std::to_string(run.pass_runs),
                    std::to_string(run.simulations), same ? "yes" : "NO"});
     json_rows.push_back(bench::Json()
                             .integer("workers", workers)
@@ -165,6 +173,7 @@ int main(int argc, char** argv) {
                             .number("speedup_vs_1", speedup)
                             .integer("evaluations", run.trace.evaluations)
                             .integer("pipelines", run.pipelines)
+                            .integer("pass_runs", run.pass_runs)
                             .integer("simulations", run.simulations)
                             .boolean("trace_identical", same)
                             .render());
@@ -184,12 +193,15 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("\nbaseline %s (budget %llu, seed %llu), 1 worker:\n"
-                "  pipelines %llu -> %zu, simulations %llu -> %zu\n",
+                "  pipelines %llu -> %zu, pass runs %llu -> %zu, "
+                "simulations %llu -> %zu\n",
                 args.baseline_path.c_str(),
                 static_cast<unsigned long long>(base.budget),
                 static_cast<unsigned long long>(base.seed),
                 static_cast<unsigned long long>(base.pipelines),
                 reference.pipelines,
+                static_cast<unsigned long long>(base.pass_runs),
+                reference.pass_runs,
                 static_cast<unsigned long long>(base.simulations),
                 reference.simulations);
     if (base.budget != budget || base.seed != seed) {
@@ -197,6 +209,7 @@ int main(int argc, char** argv) {
                   budget, static_cast<unsigned long long>(seed));
     } else {
       counts_ok = reference.pipelines <= base.pipelines &&
+                  reference.pass_runs <= base.pass_runs &&
                   reference.simulations <= base.simulations;
       std::printf("  baseline gate: %s\n", counts_ok ? "PASS" : "FAIL");
     }

@@ -114,6 +114,7 @@ int main(int argc, char** argv) {
   //   Evaluator::simulate   1 span + 1 timer + 1 counter add
   //   fingerprint memo hit  1 counter add
   //   sequence index hit    2 counter adds (eval cache + seq memo)
+  //   pipeline run          2 counter adds (pass runs executed + skipped)
   obs::set_profiling_enabled(false);
   obs::Tracer::set_enabled(false);
   const obs::RegistrySnapshot before = obs::Registry::instance().snapshot();
@@ -133,9 +134,12 @@ int main(int argc, char** argv) {
       counter_delta(before, after, "search.eval_cache.hits");
   const std::uint64_t seq_hits =
       counter_delta(before, after, "search.seq_memo.hits");
+  // Every evaluation that missed the sequence index ran a pipeline.
+  const std::uint64_t pipelines = sims + eval_hits - seq_hits;
 
-  const std::uint64_t counter_adds =
-      5 * inv + pc_hits + pc_misses + 2 * sims + eval_hits + seq_hits;
+  const std::uint64_t counter_adds = 5 * inv + pc_hits + pc_misses +
+                                     2 * sims + eval_hits + seq_hits +
+                                     2 * pipelines;
   const std::uint64_t timer_events = inv + pc_misses + sims;
   const std::uint64_t span_events = sims;
 

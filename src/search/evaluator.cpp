@@ -1,9 +1,12 @@
 #include "search/evaluator.hpp"
 
+#include <tuple>
+
 #include "ir/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
+#include "search/prefix_states.hpp"
 #include "sim/program_cache.hpp"
 
 namespace ilc::search {
@@ -25,22 +28,19 @@ obs::Counter& c_seq_memo_hits() {
       obs::Registry::instance().counter("search.seq_memo.hits");
   return c;
 }
+obs::Counter& c_pass_runs() {
+  static obs::Counter c = obs::Registry::instance().counter("search.pass_runs");
+  return c;
+}
+obs::Counter& c_pass_runs_skipped() {
+  static obs::Counter c =
+      obs::Registry::instance().counter("search.pass_runs_skipped");
+  return c;
+}
 obs::Histogram& h_simulate_us() {
   static obs::Histogram h =
       obs::Registry::instance().histogram("search.simulate_us");
   return h;
-}
-
-/// Candidate materialization into per-thread scratch: copy-assigning the
-/// base module into a retained buffer reuses the vectors' capacity from
-/// the previous candidate instead of re-allocating the whole module tree
-/// for every evaluation.
-const ir::Module& materialize(const ir::Module& base,
-                              const std::vector<opt::PassId>& seq) {
-  thread_local ir::Module scratch;
-  scratch = base;
-  opt::run_sequence(scratch, seq);
-  return scratch;
 }
 
 }  // namespace
@@ -121,17 +121,53 @@ const EvalResult& Evaluator::memoized(const ir::Module& optimized_mod,
   return e.result;
 }
 
-EvalResult Evaluator::eval_sequence(const std::vector<opt::PassId>& seq) {
-  if (!cache_enabled_) {
-    const ir::Module& m = materialize(base_, seq);
-    return simulate(m, ir::fingerprint(m));
+const ir::Module& Evaluator::materialize(const std::vector<opt::PassId>& seq,
+                                         std::string_view key,
+                                         PrefixStates* states) {
+  // Per-thread scratch: copy-assigning into a retained buffer reuses the
+  // vectors' capacity from the previous candidate instead of re-allocating
+  // the whole module tree for every evaluation.
+  thread_local ir::Module scratch;
+  std::size_t done = 0;
+  // Keeps a stored state alive while it is copied, even if another worker
+  // evicts it meanwhile.
+  std::shared_ptr<const ir::Module> state;
+  if (states != nullptr) std::tie(done, state) = states->longest_prefix(key);
+  scratch = state != nullptr ? *state : base_;
+  for (std::size_t i = done; i < seq.size(); ++i) {
+    opt::run_pass(seq[i], scratch);
+    if (states != nullptr && i + 1 < seq.size())
+      states->offer(key.substr(0, i + 1), scratch);
   }
+  pass_runs_.fetch_add(seq.size() - done, std::memory_order_relaxed);
+  pass_runs_skipped_.fetch_add(done, std::memory_order_relaxed);
+  c_pass_runs().add(seq.size() - done);
+  c_pass_runs_skipped().add(done);
+  return scratch;
+}
 
+EvalResult Evaluator::eval_sequence(const std::vector<opt::PassId>& seq) {
+  return evaluate(seq, nullptr);
+}
+
+EvalResult Evaluator::eval_sequence(const std::vector<opt::PassId>& seq,
+                                    PrefixStates& states) {
+  return evaluate(seq, &states);
+}
+
+EvalResult Evaluator::evaluate(const std::vector<opt::PassId>& seq,
+                               PrefixStates* states) {
   // The exact sequence is the key (a hash alone could serve another
   // sequence's result); up to 15 passes fit the string's inline buffer.
   std::string key(seq.size(), '\0');
   for (std::size_t i = 0; i < seq.size(); ++i)
     key[i] = static_cast<char>(seq[i]);
+
+  if (!cache_enabled_) {
+    const ir::Module& m = materialize(seq, key, nullptr);
+    return simulate(m, ir::fingerprint(m));
+  }
+
   Shard& ks = shard_of(std::hash<std::string>{}(key));
   {
     std::lock_guard<std::mutex> lock(ks.mu);
@@ -144,7 +180,7 @@ EvalResult Evaluator::eval_sequence(const std::vector<opt::PassId>& seq) {
     }
   }
 
-  const ir::Module& m = materialize(base_, seq);
+  const ir::Module& m = materialize(seq, key, states);
   const EvalResult& res = memoized(m, ir::fingerprint(m));
   // Indexed only now that the result is ready: a throwing simulation
   // propagated above and left no entry.

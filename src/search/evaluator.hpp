@@ -16,6 +16,16 @@
 // simulation throws leaves no entry at either level. eval_flags runs
 // through the same index via opt::pipeline.
 //
+// On an index miss, the two-argument eval_sequence takes a run's
+// PrefixStates (search/prefix_states.hpp): the candidate starts from the
+// module after the longest stored proper prefix of its sequence instead of
+// the base module, runs only the remaining passes, and offers the states
+// after them to the store. The genetic search hands its run's store here;
+// the other strategies call the one-argument form, which always starts
+// from the base. Either way the module, and so everything after it, is
+// the same. Every pass run executed is counted on `search.pass_runs` and
+// every one a stored prefix made unnecessary on `search.pass_runs_skipped`.
+//
 // Built for concurrent callers (the parallel GA and the tuning service):
 // both levels are striped across sharded mutexes so unrelated keys never
 // contend, and the fingerprint memo is single-flight — when two workers
@@ -32,6 +42,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "ir/module.hpp"
@@ -39,6 +50,8 @@
 #include "sim/interpreter.hpp"
 
 namespace ilc::search {
+
+class PrefixStates;  // search/prefix_states.hpp
 
 struct EvalResult {
   std::uint64_t cycles = 0;
@@ -53,6 +66,12 @@ class Evaluator {
 
   /// Apply a pass sequence and measure. Thread-safe.
   EvalResult eval_sequence(const std::vector<opt::PassId>& seq);
+  /// The same, but a sequence-index miss starts from the longest proper
+  /// prefix of `seq` stored in `states` and offers the states after the
+  /// passes it runs back to it. Thread-safe; `states` may be shared by
+  /// concurrent callers.
+  EvalResult eval_sequence(const std::vector<opt::PassId>& seq,
+                           PrefixStates& states);
   /// Apply a flag-vector pipeline and measure. Thread-safe.
   EvalResult eval_flags(const opt::OptFlags& flags);
 
@@ -75,13 +94,31 @@ class Evaluator {
   std::size_t sequence_hits() const {
     return sequence_hits_.load(std::memory_order_relaxed);
   }
-  /// Turns both memo levels on or off; off simulates every call.
+  /// Pass runs executed to build candidates (sequence-index misses), and
+  /// pass runs skipped because a stored prefix state already held their
+  /// result. With one caller both are deterministic for a fixed sequence
+  /// of calls.
+  std::size_t pass_runs() const {
+    return pass_runs_.load(std::memory_order_relaxed);
+  }
+  std::size_t pass_runs_skipped() const {
+    return pass_runs_skipped_.load(std::memory_order_relaxed);
+  }
+  /// Turns both memo levels on or off; off simulates every call, each
+  /// from the base module (a store passed to eval_sequence goes unused).
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
 
   const ir::Module& base() const { return base_; }
   const sim::MachineConfig& machine() const { return cfg_; }
 
  private:
+  EvalResult evaluate(const std::vector<opt::PassId>& seq,
+                      PrefixStates* states);
+  /// The candidate module in this thread's scratch: `seq` applied to the
+  /// base, starting from a stored prefix state when `states` has one.
+  /// `key` is the sequence key.
+  const ir::Module& materialize(const std::vector<opt::PassId>& seq,
+                                std::string_view key, PrefixStates* states);
   /// The fingerprint memo: the ready entry's result, simulating on a miss.
   const EvalResult& memoized(const ir::Module& optimized_mod,
                              std::uint64_t fp);
@@ -115,6 +152,8 @@ class Evaluator {
   std::atomic<std::size_t> simulations_{0};
   std::atomic<std::size_t> cache_hits_{0};
   std::atomic<std::size_t> sequence_hits_{0};
+  std::atomic<std::size_t> pass_runs_{0};
+  std::atomic<std::size_t> pass_runs_skipped_{0};
 };
 
 }  // namespace ilc::search

@@ -9,6 +9,11 @@
 // therefore selection in every later generation — is bit-identical to the
 // sequential GA for a fixed seed, at any GaParams::workers.
 //
+// Children share their parents' heads, so each run keeps a PrefixStates
+// (search/prefix_states.hpp) that its workers share: a child that misses
+// the evaluator's sequence index starts from the module after the longest
+// stored prefix of its genes. The store lives exactly as long as the run.
+//
 // Round two extensions (ROADMAP item 3): the initial population can be
 // seeded from a SeedBank cluster's best-known sequences; a learned
 // estimator can oversample-and-prefilter children before simulation
@@ -24,6 +29,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "search/prefix_states.hpp"
 #include "search/seedbank.hpp"
 #include "support/assert.hpp"
 #include "support/thread_pool.hpp"
@@ -177,6 +183,7 @@ SearchTrace genetic_search(Evaluator& eval, const SequenceSpace& space,
   SearchTrace trace;
   const bool pareto = obj == Objective::Pareto;
 
+  PrefixStates states;
   std::unique_ptr<support::ThreadPool> pool;
   if (params.workers > 1)
     pool = std::make_unique<support::ThreadPool>(params.workers);
@@ -191,7 +198,7 @@ SearchTrace genetic_search(Evaluator& eval, const SequenceSpace& space,
     support::parallel_for(pool.get(), first, first + count,
                           [&](std::size_t i) {
                             const EvalResult r =
-                                eval.eval_sequence(inds[i].genes);
+                                eval.eval_sequence(inds[i].genes, states);
                             inds[i].cycles = r.cycles;
                             inds[i].code_size = r.code_size;
                             inds[i].metric = metric_of(r, obj);

@@ -13,6 +13,17 @@
 // produces a bit-identical trace at any worker count (see DESIGN.md, "The
 // evaluation hot path"). Greedy search is inherently serial (each step
 // depends on the last result) and takes no worker count.
+//
+// Prefix reuse: each genetic_search call owns a PrefixStates
+// (search/prefix_states.hpp) for its length, shares it among its workers,
+// and evaluates through Evaluator::eval_sequence(seq, states): a candidate
+// starts from the module after the longest stored prefix of its genes.
+// The GA is the only strategy that does so. Greedy search (a candidate
+// keeps `current`'s passes up to the position it changes) and enumeration
+// (raw indices in lexicographic order) share prefixes too, but still call
+// the one-argument eval_sequence, as do random and flag-space search,
+// whose independent samples seldom share one. Neither form changes a
+// trace.
 #pragma once
 
 #include <functional>
@@ -115,6 +126,7 @@ struct GaParams {
 /// Generational GA in the style of Cooper et al.'s code-size work. Under
 /// Objective::Pareto, selection is NSGA-II-lite: non-dominated rank then
 /// crowding distance, with deterministic (cycles, code_size) tie-breaks.
+/// Candidates reuse the run's prefix states; the store is freed on return.
 SearchTrace genetic_search(Evaluator& eval, const SequenceSpace& space,
                            support::Rng& rng, unsigned budget,
                            Objective obj = Objective::Cycles,

@@ -1,25 +1,30 @@
 // Process-wide cache of decoded programs, keyed by ir::fingerprint.
 //
-// The search layer evaluates the same optimized module many times under
-// different guises: svc warm paths re-tune identical code, GA elites
-// survive generations unchanged, and duplicate offspring converge to the
-// same fingerprint. Decoding is cheap but not free (linear in code size,
-// one allocation burst per function), and under a parallel GA it would
-// otherwise run once per Simulator construction. Sharing one immutable
-// DecodedProgram per fingerprint makes Simulator construction a hash
-// lookup on the warm path.
+// Decoding is cheap but not free (linear in code size, one allocation
+// burst per function). The search Evaluator's memo already simulates each
+// fingerprint once, so one evaluator asks this cache for a program about
+// once. What the cache serves is repeats across evaluators: the same
+// optimized code tuned for another machine (svc keeps one evaluator per
+// program and machine), and svc re-tunes of known code. On the ga_adpcm
+// benchmark mix, which tunes one program for two machines, about a
+// quarter of lookups hit.
 //
 // Entries are immutable and handed out as shared_ptr<const>, so eviction
 // never invalidates a running Simulator. A bounded LRU keeps a long-lived
-// tuning service from accumulating one entry per candidate ever seen.
+// tuning service from accumulating one entry per candidate ever seen. The
+// default capacity is 256 programs: enough for the cross-machine repeats
+// of recent searches. At 1024, the live decodings sat under a GA
+// service's prefix states (search/prefix_states.hpp): ga_adpcm read a
+// peak RSS of 18.3-18.7 MB, against 14.1-14.3 MB at 256.
 //
 // Lookups are single-flight, mirroring the evaluator memo cache: when
-// several threads miss on the same fingerprint simultaneously (a parallel
-// GA generation full of identical offspring), the first inserts a pending
-// placeholder and decodes; the rest block on the condition variable and
-// pick up the published program. Every unique fingerprint is decoded
-// exactly once. Pending placeholders are not on the LRU list, so eviction
-// can never drop an in-flight decode.
+// several threads miss on the same fingerprint simultaneously (two
+// evaluators of one program reaching the same code at once), the first
+// inserts a pending placeholder and decodes; the rest block on the
+// condition variable and pick up the published program. Every unique
+// fingerprint is decoded exactly once while it stays cached. Pending
+// placeholders are not on the LRU list, so eviction can never drop an
+// in-flight decode.
 #pragma once
 
 #include <condition_variable>
@@ -38,7 +43,7 @@ class ProgramCache {
   /// The process-wide instance used by Simulator construction.
   static ProgramCache& instance();
 
-  explicit ProgramCache(std::size_t capacity = 1024) : capacity_(capacity) {}
+  explicit ProgramCache(std::size_t capacity = 256) : capacity_(capacity) {}
 
   /// Decoded program for `mod`, decoding on miss. Fingerprints the module;
   /// use the two-argument form when the caller already has the print.

@@ -5,14 +5,21 @@
 // run exactly one simulation per unique fingerprint even under a
 // concurrent burst of identical candidates. The sequence index in front
 // of that memo must change neither: traces and simulation counts match a
-// memo-off run at every worker count.
+// memo-off run at every worker count. Nor may the GA's prefix states,
+// which only a memo-on run uses: traces, fronts and simulation counts
+// match the memo-off run, and the store itself admits, bounds and
+// releases what its contract says.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ir/fingerprint.hpp"
+#include "obs/metrics.hpp"
+#include "search/prefix_states.hpp"
 #include "search/seedbank.hpp"
 #include "search/strategies.hpp"
 #include "sim/program_cache.hpp"
@@ -258,18 +265,17 @@ TEST(EvaluatorStampede, DistinctFingerprintsSimulateIndependently) {
 
 /// The fixed-seed GA or random search every memo run repeats.
 search::SearchTrace fixed_seed_search(bool genetic, unsigned workers,
-                                      search::Evaluator& eval) {
+                                      search::Evaluator& eval,
+                                      search::Objective obj) {
   const search::SequenceSpace space;
   if (genetic) {
     support::Rng rng(2008);
     search::GaParams params;
     params.workers = workers;
-    return search::genetic_search(eval, space, rng, 120,
-                                  search::Objective::Cycles, params);
+    return search::genetic_search(eval, space, rng, 120, obj, params);
   }
   support::Rng rng(7);
-  return search::random_search(eval, space, rng, 60,
-                               search::Objective::Cycles, workers);
+  return search::random_search(eval, space, rng, 60, obj, workers);
 }
 
 struct MemoRun {
@@ -277,22 +283,28 @@ struct MemoRun {
   std::size_t simulations = 0;
   std::size_t cache_hits = 0;
   std::size_t sequence_hits = 0;
+  std::size_t pass_runs = 0;
+  std::size_t pass_runs_skipped = 0;
   /// Programs decoded: with a cold program cache, the number of distinct
   /// optimized modules the search simulated.
   std::uint64_t decodes = 0;
 };
 
-MemoRun run_with_memo(bool memo, bool genetic, unsigned workers) {
+MemoRun run_with_memo(bool memo, bool genetic, unsigned workers,
+                      const std::string& workload = "dotprod",
+                      search::Objective obj = search::Objective::Cycles) {
   sim::ProgramCache& programs = sim::ProgramCache::instance();
   programs.clear();
   const std::uint64_t misses = programs.misses();
-  search::Evaluator eval = make_eval();
+  search::Evaluator eval = make_eval(workload);
   eval.set_cache_enabled(memo);
   MemoRun out;
-  out.trace = fixed_seed_search(genetic, workers, eval);
+  out.trace = fixed_seed_search(genetic, workers, eval, obj);
   out.simulations = eval.simulations();
   out.cache_hits = eval.cache_hits();
   out.sequence_hits = eval.sequence_hits();
+  out.pass_runs = eval.pass_runs();
+  out.pass_runs_skipped = eval.pass_runs_skipped();
   out.decodes = programs.misses() - misses;
   return out;
 }
@@ -300,7 +312,11 @@ MemoRun run_with_memo(bool memo, bool genetic, unsigned workers) {
 // With the memo on, every distinct optimized module simulates exactly once
 // (the count a memo-off run decodes) and every other evaluation is a cache
 // hit; with it off, every evaluation simulates. Either way the trace is
-// the memo-off sequential trace, at every worker count.
+// the memo-off sequential trace, at every worker count. These searches
+// evaluate at most 120 candidates, so they reach at most that many
+// distinct programs, within the program cache's default capacity of 256:
+// nothing is evicted and decoded again, and the decode count still means
+// "distinct programs".
 TEST(SequenceMemo, TracesAndSimulationsMatchMemoOffAtEveryWidth) {
   for (const bool genetic : {true, false}) {
     const MemoRun reference = run_with_memo(false, genetic, 1);
@@ -359,6 +375,218 @@ TEST(SequenceMemo, TrappingCandidateThrowsForEveryConcurrentCaller) {
   EXPECT_EQ(eval.simulations(), 0u);
   EXPECT_EQ(eval.cache_hits(), 0u);
   EXPECT_THROW(eval.eval_sequence({}), sim::TrapError);
+}
+
+// --- prefix states ----------------------------------------------------------
+
+/// The evaluator's sequence key: one byte per PassId.
+std::string key_of(const std::vector<opt::PassId>& seq) {
+  std::string key;
+  for (const opt::PassId p : seq) key.push_back(static_cast<char>(p));
+  return key;
+}
+
+// With the memo on, the GA evaluates through its run's prefix states;
+// with it off, every candidate runs all its passes from the base module.
+// The states must change nothing but the passes run: the trace, best
+// sequence and Pareto front are the memo-off run's at every width, and
+// each distinct program still simulates exactly once. mcf_lite's states
+// carry ~100 KB of initializers each, so only 12-20 fit under the byte
+// cap. Each search evaluates 120 candidates, so its distinct programs fit
+// the program cache and the memo-off decode count is that number.
+TEST(PrefixStates, GaMatchesMemoOffAtEveryWidth) {
+  const std::size_t length = search::SequenceSpace{}.length;
+  for (const char* name : {"adpcm", "mcf_lite"}) {
+    for (const search::Objective obj :
+         {search::Objective::Cycles, search::Objective::Pareto}) {
+      const std::string label =
+          std::string(name) +
+          (obj == search::Objective::Pareto ? " pareto" : " cycles");
+      const MemoRun reference = run_with_memo(false, true, 1, name, obj);
+      ASSERT_EQ(reference.pass_runs, reference.trace.evaluations * length)
+          << label;
+      ASSERT_EQ(reference.pass_runs_skipped, 0u) << label;
+
+      for (const unsigned workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(label + " workers=" + std::to_string(workers));
+        const MemoRun run = run_with_memo(true, true, workers, name, obj);
+        expect_same_trace(run.trace, reference.trace);
+        expect_same_front(run.trace.pareto, reference.trace.pareto);
+        EXPECT_EQ(run.simulations, reference.decodes);
+        EXPECT_EQ(run.decodes, reference.decodes);
+        EXPECT_GT(run.pass_runs_skipped, 0u);
+        // Every pass of every pipeline either ran or came from a state.
+        // Only one worker fixes the pipeline count: at more, two workers
+        // may both miss the sequence index on one new sequence.
+        if (workers == 1) {
+          const std::size_t pipelines =
+              run.simulations + run.cache_hits - run.sequence_hits;
+          EXPECT_EQ(run.pass_runs + run.pass_runs_skipped,
+                    pipelines * length);
+        }
+      }
+    }
+  }
+}
+
+TEST(PrefixStates, AdmitsAPrefixOnlyOnItsSecondSighting) {
+  ir::Module mod = wl::make_workload("adpcm").module;
+  opt::run_pass(opt::PassId::ConstProp, mod);
+  const std::string seq = key_of(
+      {opt::PassId::ConstProp, opt::PassId::Dce, opt::PassId::Licm});
+  search::PrefixStates states;
+
+  states.offer(seq.substr(0, 1), mod);
+  EXPECT_EQ(states.size(), 0u);
+  EXPECT_EQ(states.bytes(), 0u);
+  EXPECT_EQ(states.longest_prefix(seq).first, 0u);
+
+  states.offer(seq.substr(0, 1), mod);
+  EXPECT_EQ(states.size(), 1u);
+  EXPECT_GT(states.bytes(), 0u);
+  const auto [len, state] = states.longest_prefix(seq);
+  EXPECT_EQ(len, 1u);
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(ir::fingerprint(*state), ir::fingerprint(mod));
+
+  // A stored prefix is not stored twice.
+  const std::size_t bytes = states.bytes();
+  states.offer(seq.substr(0, 1), mod);
+  EXPECT_EQ(states.size(), 1u);
+  EXPECT_EQ(states.bytes(), bytes);
+}
+
+TEST(PrefixStates, LookupReturnsTheLongestStoredProperPrefix) {
+  const ir::Module base = wl::make_workload("adpcm").module;
+  const std::vector<opt::PassId> passes = {
+      opt::PassId::ConstProp, opt::PassId::Dce, opt::PassId::Licm,
+      opt::PassId::Schedule};
+  const std::string seq = key_of(passes);
+  // States after 1 and after 3 passes, each offered twice.
+  ir::Module after1 = base;
+  opt::run_pass(passes[0], after1);
+  ir::Module after3 = after1;
+  opt::run_pass(passes[1], after3);
+  opt::run_pass(passes[2], after3);
+  search::PrefixStates states;
+  for (int i = 0; i < 2; ++i) {
+    states.offer(seq.substr(0, 1), after1);
+    states.offer(seq.substr(0, 3), after3);
+  }
+  ASSERT_EQ(states.size(), 2u);
+
+  auto expect_prefix = [&](const std::string& query, std::size_t want,
+                           const ir::Module* module) {
+    SCOPED_TRACE("query length " + std::to_string(query.size()));
+    const auto [len, state] = states.longest_prefix(query);
+    EXPECT_EQ(len, want);
+    if (module == nullptr) {
+      EXPECT_EQ(state, nullptr);
+    } else {
+      ASSERT_NE(state, nullptr);
+      EXPECT_EQ(ir::fingerprint(*state), ir::fingerprint(*module));
+    }
+  };
+  expect_prefix(seq, 3, &after3);
+  expect_prefix(seq + key_of({opt::PassId::Cse}), 3, &after3);
+  // Proper prefixes only: a sequence is never its own prefix.
+  expect_prefix(seq.substr(0, 3), 1, &after1);
+  expect_prefix(seq.substr(0, 2) + key_of({opt::PassId::Cse}), 1, &after1);
+  expect_prefix(seq.substr(0, 1), 0, nullptr);
+  expect_prefix(key_of({opt::PassId::Cse, opt::PassId::ConstProp}), 0,
+                nullptr);
+}
+
+TEST(PrefixStates, StoredBytesNeverExceedTheCap) {
+  // mcf_lite states are the large ones: 105-175 KB with initializers, so
+  // 26 of them overflow the 2 MiB cap.
+  ir::Module mod = wl::make_workload("mcf_lite").module;
+  constexpr std::size_t cap = search::PrefixStates::kCapBytes;
+  search::PrefixStates states;
+  const std::vector<opt::PassId> passes = opt::sequence_space();
+  std::size_t offered = 0;
+  for (const opt::PassId first : passes) {
+    for (const opt::PassId second : {opt::PassId::Dce, opt::PassId::Cse}) {
+      const std::string prefix = key_of({first, second});
+      states.offer(prefix, mod);
+      states.offer(prefix, mod);
+      ++offered;
+      EXPECT_LE(states.bytes(), cap);
+      EXPECT_EQ(states.longest_prefix(prefix + prefix).first, 2u);
+    }
+  }
+  // The oldest states were evicted to make room.
+  EXPECT_LT(states.size(), offered);
+  EXPECT_GT(states.bytes(), cap / 2);
+  EXPECT_EQ(states.longest_prefix(key_of({passes[0], opt::PassId::Dce,
+                                          opt::PassId::Licm}))
+                .first,
+            0u);
+
+  // A state larger than the whole cap is never stored, and evicts nothing.
+  const std::size_t held = states.size();
+  const std::size_t bytes = states.bytes();
+  ir::Global big;
+  big.name = "big";
+  big.count = cap / sizeof(std::int64_t) + 1;
+  big.init.assign(big.count, 1);
+  mod.add_global(std::move(big));
+  states.offer("a", mod);
+  states.offer("a", mod);
+  EXPECT_EQ(states.longest_prefix("ab").first, 0u);
+  EXPECT_EQ(states.size(), held);
+  EXPECT_EQ(states.bytes(), bytes);
+}
+
+TEST(PrefixStates, NothingIsHeldAfterGeneticSearchReturns) {
+  const obs::Gauge held =
+      obs::Registry::instance().gauge("search.prefix_states.bytes");
+  const std::int64_t before = held.value();
+  {
+    // The gauge follows a store's bytes and drops them on destruction.
+    search::PrefixStates states;
+    const ir::Module mod = wl::make_workload("adpcm").module;
+    states.offer("a", mod);
+    states.offer("a", mod);
+    EXPECT_EQ(held.value() - before,
+              static_cast<std::int64_t>(states.bytes()));
+  }
+  EXPECT_EQ(held.value(), before);
+
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const MemoRun run = run_with_memo(true, true, workers, "adpcm");
+    EXPECT_GT(run.pass_runs_skipped, 0u);  // the run did hold states
+    EXPECT_EQ(held.value(), before);
+  }
+}
+
+// A candidate whose simulation traps still stores the prefix states its
+// passes produced (they are pure), but leaves no sequence-index or memo
+// entry: it throws on every evaluation, also when it starts from a state.
+TEST(PrefixStates, TrappingCandidateLeavesNoIndexOrMemoEntry) {
+  const wl::Workload w = wl::make_workload("dotprod");
+  const std::vector<opt::PassId> seq = {
+      opt::PassId::CopyProp, opt::PassId::Peephole, opt::PassId::Dce};
+  sim::MachineConfig cfg = sim::amd_like();
+  cfg.max_instructions =
+      search::Evaluator(w.module, cfg).eval_sequence(seq).instructions / 2;
+  search::Evaluator eval(w.module, cfg);
+  search::PrefixStates states;
+
+  for (int i = 0; i < 3; ++i)
+    EXPECT_THROW(eval.eval_sequence(seq, states), sim::TrapError) << i;
+  // The second sighting stored both proper prefixes; the third evaluation
+  // started from the longer one.
+  EXPECT_EQ(states.size(), 2u);
+  EXPECT_EQ(eval.pass_runs_skipped(), 2u);
+  EXPECT_EQ(eval.pass_runs(), 3u + 3u + 1u);
+  EXPECT_EQ(eval.simulations(), 0u);
+  EXPECT_EQ(eval.cache_hits(), 0u);
+  EXPECT_EQ(eval.sequence_hits(), 0u);
+  EXPECT_THROW(eval.eval_sequence(seq), sim::TrapError);
+  EXPECT_THROW(eval.eval_sequence(seq, states), sim::TrapError);
+  EXPECT_EQ(eval.cache_hits(), 0u);
 }
 
 TEST(EvaluatorStampede, CacheDisabledSimulatesEveryCall) {
