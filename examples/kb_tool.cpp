@@ -239,7 +239,6 @@ int cmd_wal_dump(const char* dir) {
       switch (fb.op) {
         case kbstore::Op::Append: op = "append"; break;
         case kbstore::Op::Upsert: op = "upsert"; break;
-        case kbstore::Op::Erase: op = "erase"; break;
       }
       const auto lr = kbstore::decode_record(std::string_view(bytes).substr(
           fb.offset + kbstore::kFrameOverhead, fb.len));

@@ -1,7 +1,5 @@
 #include "cluster/health.hpp"
 
-#include <algorithm>
-
 #include "net/blocking.hpp"
 #include "support/failpoint.hpp"
 
@@ -54,13 +52,6 @@ void HealthMonitor::add(const repl::Endpoint& ep) {
       reg.gauge(opts_.metric_prefix + ".health." + ep.to_string());
   slot.gauge.set(static_cast<std::int64_t>(Health::Healthy));
   slots_.push_back(std::move(slot));
-}
-
-void HealthMonitor::remove(const repl::Endpoint& ep) {
-  std::lock_guard<std::mutex> lock(mu_);
-  slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
-                              [&](const Slot& s) { return s.ep == ep; }),
-               slots_.end());
 }
 
 void HealthMonitor::watch(repl::Router* router) {

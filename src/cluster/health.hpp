@@ -75,8 +75,6 @@ class HealthMonitor {
 
   /// Register an endpoint (initially Healthy). Duplicates are ignored.
   void add(const repl::Endpoint& ep);
-  /// Forget an endpoint (a replica removed from the fleet).
-  void remove(const repl::Endpoint& ep);
 
   /// Feed transitions into a Router: Down -> set_down, back to Healthy
   /// -> set_up. The Router must outlive the monitor (or be un-watched

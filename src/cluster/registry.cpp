@@ -57,7 +57,7 @@ std::vector<std::string> encode_shard_map(const ShardMap& map) {
         e.leader.port != 0 ? e.leader.to_string() : std::string("-");
     lines.push_back("shard " + std::to_string(i) + " leader=" + leader +
                     " ship=" + std::to_string(e.ship_port) +
-                    " health=" + e.health + " followers=" + followers);
+                    " followers=" + followers);
   }
   lines.push_back("end");
   return lines;
@@ -89,7 +89,6 @@ bool decode_shard_map(const std::vector<std::string>& lines, ShardMap& out) {
     std::uint64_t ship = 0;
     if (!parse_u64(field(words, "ship"), ship) || ship > 65535) return false;
     e.ship_port = static_cast<std::uint16_t>(ship);
-    e.health = field(words, "health");
     const std::string followers = field(words, "followers");
     if (followers != "-" && !followers.empty()) {
       std::size_t start = 0;
@@ -167,7 +166,6 @@ bool Registry::lead(std::size_t shard, const repl::Endpoint& leader,
         s.followers.end());
   e.leader = leader;
   e.ship_port = ship_port;
-  e.health = "healthy";
   map_.epoch += 1;
   lead_epoch_[shard] = map_.epoch;
   g_epoch_.set(static_cast<std::int64_t>(map_.epoch));
@@ -185,22 +183,6 @@ bool Registry::follow(std::size_t shard, const repl::Endpoint& ep) {
   map_.epoch += 1;
   g_epoch_.set(static_cast<std::int64_t>(map_.epoch));
   changes_.add(1);
-  return true;
-}
-
-bool Registry::health(const repl::Endpoint& ep, const std::string& state) {
-  std::lock_guard<std::mutex> lock(mu_);
-  bool touched = false;
-  for (ShardEntry& s : map_.shards)
-    if (s.leader == ep && s.health != state) {
-      s.health = state;
-      touched = true;
-    }
-  if (touched) {
-    map_.epoch += 1;
-    g_epoch_.set(static_cast<std::int64_t>(map_.epoch));
-    changes_.add(1);
-  }
   return true;
 }
 
@@ -241,13 +223,6 @@ std::string Registry::handle(const std::string& line) {
       return "err follow: want `follow <shard> <host:port>`\n";
     if (!follow(static_cast<std::size_t>(shard), ep))
       return "err no such shard " + words[1] + "\n";
-    return "ok epoch=" + std::to_string(epoch()) + "\n";
-  }
-  if (words[0] == "health") {
-    repl::Endpoint ep;
-    if (words.size() != 3 || !parse_endpoint(words[1], ep))
-      return "err health: want `health <host:port> <state>`\n";
-    health(ep, words[2]);
     return "ok epoch=" + std::to_string(epoch()) + "\n";
   }
   return "err unknown command '" + words[0] + "'\n";
@@ -349,11 +324,6 @@ bool RegistryClient::follow(std::size_t shard, const repl::Endpoint& ep,
                             std::string* why) {
   return command("follow " + std::to_string(shard) + " " + ep.to_string(),
                  why);
-}
-
-bool RegistryClient::health(const repl::Endpoint& ep, const std::string& state,
-                            std::string* why) {
-  return command("health " + ep.to_string() + " " + state, why);
 }
 
 }  // namespace ilc::cluster

@@ -1,22 +1,23 @@
 // cluster::Registry — the shard map as a service, replacing the
 // hand-wired --shard-of/--follower-of topology of PR 8. One node serves
-// the authoritative map (shard -> {leader, ship port, followers,
-// health}); every other party — clients building Routers, replicas
-// joining the fleet, the promoter announcing a failover — reads and
-// writes it over a tiny line protocol:
+// the authoritative map (shard -> {leader, ship port, followers}); every
+// other party — clients building Routers, replicas joining the fleet,
+// the promoter announcing a failover — reads and writes it over a tiny
+// line protocol:
 //
 //   get                                   -> map epoch=<e> shards=<n>
 //                                            shard <i> leader=<h:p> ship=<p>
-//                                              health=<state> followers=<h:p,...|->
+//                                              followers=<h:p,...|->
 //                                            ... one line per shard ...
 //                                            end
 //   epoch                                 -> epoch <e>
 //   lead <shard> <h:p> <ship_port> <ke>   -> ok epoch=<e> | err fenced: ...
 //   follow <shard> <h:p>                  -> ok epoch=<e>
-//   health <h:p> <state>                  -> ok epoch=<e>
 //
 // Every accepted change bumps the map's epoch, so clients cache the map
-// and refresh only when a cheap `epoch` poll shows it moved.
+// and refresh only when a cheap `epoch` poll shows it moved. Liveness is
+// not part of the map: each client probes endpoints itself
+// (cluster::HealthMonitor) and marks its own Router.
 //
 // Fencing: `lead` carries the announcer's known epoch (`<ke>`). Each
 // shard remembers the epoch of its last leadership change; an
@@ -45,7 +46,6 @@ struct ShardEntry {
   repl::Endpoint leader;
   std::uint16_t ship_port = 0;  ///< leader's WAL-shipping port
   std::vector<repl::Endpoint> followers;
-  std::string health = "healthy";
 };
 
 struct ShardMap {
@@ -80,8 +80,6 @@ class Registry {
   /// Register a follower of `shard` (idempotent). Also removes it from
   /// any stale role it held elsewhere in the map.
   bool follow(std::size_t shard, const repl::Endpoint& ep);
-  /// Record probed health for a shard leader ("healthy", "down", ...).
-  bool health(const repl::Endpoint& ep, const std::string& state);
 
   /// Dispatch one protocol line; the full response, '\n'-terminated
   /// (multi-line for `get`).
@@ -110,7 +108,6 @@ class RegistryServer {
   RegistryServer& operator=(const RegistryServer&) = delete;
 
   std::uint16_t port() const { return listener_->port(); }
-  void stop() { listener_->stop(); }
 
  private:
   RegistryServer() = default;
@@ -136,7 +133,6 @@ class RegistryClient {
   /// fresh on return.
   bool refresh(std::string* err = nullptr);
 
-  const ShardMap& map() const { return cache_; }
   std::uint64_t epoch() const { return cache_.epoch; }
   std::vector<repl::Router::Shard> router_shards() const {
     return to_router_shards(cache_);
@@ -146,8 +142,6 @@ class RegistryClient {
             std::uint16_t ship_port, std::uint64_t known_epoch,
             std::string* why = nullptr);
   bool follow(std::size_t shard, const repl::Endpoint& ep,
-              std::string* why = nullptr);
-  bool health(const repl::Endpoint& ep, const std::string& state,
               std::string* why = nullptr);
 
  private:

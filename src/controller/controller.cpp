@@ -84,13 +84,6 @@ search::FocusedModel build_focused_model(const kb::KnowledgeBase& base,
   return search::FocusedModel(std::move(training), std::move(space), kind);
 }
 
-opt::OptFlags IntelligentController::one_shot(
-    const std::vector<double>& dynamic_features,
-    const std::string& exclude_program) const {
-  const CounterModel model(kb_, exclude_program, machine_);
-  return model.predict(dynamic_features);
-}
-
 search::SearchTrace IntelligentController::iterative(
     search::Evaluator& eval, const std::vector<double>& static_features,
     const std::string& exclude_program, unsigned budget,

@@ -7,9 +7,9 @@
 //    knowledge base, and predicts that program's best optimization
 //    setting. One-shot: no search on the new program.
 //
-//  * IntelligentController — ties the models together: one-shot flag
-//    prediction, or iterative refinement via FOCUSSED search when the
-//    framework decides on-target evaluations are worthwhile.
+//  * IntelligentController — iterative refinement via FOCUSSED search,
+//    when the framework decides on-target evaluations are worthwhile.
+//    One-shot flag prediction is a CounterModel's predict().
 #pragma once
 
 #include <string>
@@ -64,11 +64,6 @@ class IntelligentController {
  public:
   IntelligentController(const kb::KnowledgeBase& base, std::string machine)
       : kb_(base), machine_(std::move(machine)) {}
-
-  /// One-shot compilation: predict flags from the program's -O0 counter
-  /// signature; no evaluations of the new program beyond the profile run.
-  opt::OptFlags one_shot(const std::vector<double>& dynamic_features,
-                         const std::string& exclude_program) const;
 
   /// Iterative compilation: FOCUSSED search with a small budget; returns
   /// the search trace (best sequence is trace.best_seq).

@@ -38,7 +38,6 @@ class PhaseDetector {
   void feed(const std::vector<double>& signature);
   bool stable() const;
   unsigned phase_id() const { return phase_; }
-  void reset();
 
  private:
   double distance(const std::vector<double>& a,

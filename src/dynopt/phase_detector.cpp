@@ -11,11 +11,6 @@ PhaseDetector::PhaseDetector(double threshold, unsigned window)
   ILC_CHECK(threshold_ > 0.0);
 }
 
-void PhaseDetector::reset() {
-  recent_.clear();
-  phase_ = 0;
-}
-
 double PhaseDetector::distance(const std::vector<double>& a,
                                const std::vector<double>& b) const {
   ILC_CHECK(a.size() == b.size());

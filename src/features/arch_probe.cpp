@@ -12,14 +12,6 @@ namespace ilc::feat {
 
 using namespace ir;
 
-const std::vector<std::string>& ArchProfile::feature_names() {
-  static const std::vector<std::string> names = {
-      "l1_latency",       "l2_latency", "mem_latency",
-      "log2_l1_capacity", "log2_l2_capacity",
-      "alu_latency",      "mul_latency", "mispredict_penalty"};
-  return names;
-}
-
 std::vector<double> ArchProfile::to_features() const {
   return {l1_latency,
           l2_latency,

@@ -11,7 +11,6 @@
 // architecture's characterization.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -31,9 +30,9 @@ struct ArchProfile {
   double mul_latency = 0;      // cycles per dependent multiply
   double mispredict_penalty = 0;  // cycles per forced mispredict
 
-  /// Flat feature vector (for the knowledge base's standard format).
+  /// Flat feature vector (for the knowledge base's standard format): the
+  /// fields above in order, capacities as log2.
   std::vector<double> to_features() const;
-  static const std::vector<std::string>& feature_names();
 };
 
 /// Run the microbenchmark battery against a machine configuration.

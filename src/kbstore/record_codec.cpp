@@ -92,7 +92,6 @@ std::string encode_record(const LogRecord& lr) {
   put_str(out, lr.rec.program);
   put_str(out, lr.rec.machine);
   put_str(out, lr.rec.kind);
-  if (lr.op == Op::Erase) return out;  // tombstones carry only the key
   put_str(out, lr.rec.config);
   put_u64(out, lr.rec.cycles);
   put_u64(out, lr.rec.code_size);
@@ -110,17 +109,14 @@ std::optional<LogRecord> decode_record(std::string_view payload) {
   LogRecord lr;
   const auto op = static_cast<std::uint8_t>(payload[0]);
   if (op < static_cast<std::uint8_t>(Op::Append) ||
-      op > static_cast<std::uint8_t>(Op::Erase))
+      op > static_cast<std::uint8_t>(Op::Upsert))
     return std::nullopt;
   lr.op = static_cast<Op>(op);
 
   Cursor c{payload.data() + 1, payload.size() - 1};
-  if (!c.str(lr.rec.program) || !c.str(lr.rec.machine) || !c.str(lr.rec.kind))
-    return std::nullopt;
-  if (lr.op == Op::Erase) return c.left == 0 ? std::optional(lr) : std::nullopt;
-
   std::uint32_t ncounters = 0;
-  if (!c.str(lr.rec.config) || !c.u64(lr.rec.cycles) ||
+  if (!c.str(lr.rec.program) || !c.str(lr.rec.machine) ||
+      !c.str(lr.rec.kind) || !c.str(lr.rec.config) || !c.u64(lr.rec.cycles) ||
       !c.u64(lr.rec.code_size) || !c.u64(lr.rec.instructions) ||
       !c.u32(ncounters))
     return std::nullopt;

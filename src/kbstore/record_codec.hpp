@@ -22,12 +22,10 @@ namespace ilc::kbstore {
 enum class Op : std::uint8_t {
   Append = 1,  ///< add one more record under the key (duplicates allowed)
   Upsert = 2,  ///< replace the first record under the key, or append
-  Erase = 3,   ///< tombstone: drop every record under the key
 };
 
 struct LogRecord {
   Op op = Op::Append;
-  /// For Op::Erase only program/machine/kind (the key) are meaningful.
   kb::ExperimentRecord rec;
 };
 

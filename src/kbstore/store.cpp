@@ -255,17 +255,6 @@ bool Store::apply(LogRecord&& lr) {
       ++live_;
       return false;
     }
-    case Op::Erase: {
-      auto it = shard.map.find(key);
-      if (it == shard.map.end()) {
-        ++dead_;  // useless tombstone still occupies the log
-        return false;
-      }
-      dead_ += it->second.size() + 1;
-      live_ -= it->second.size();
-      shard.map.erase(it);
-      return true;
-    }
   }
   return false;
 }
@@ -310,16 +299,6 @@ void Store::append(kb::ExperimentRecord rec) {
 
 bool Store::upsert(kb::ExperimentRecord rec) {
   return log_and_apply({Op::Upsert, std::move(rec)});
-}
-
-bool Store::erase(const std::string& program, const std::string& machine,
-                  const std::string& kind) {
-  LogRecord lr;
-  lr.op = Op::Erase;
-  lr.rec.program = program;
-  lr.rec.machine = machine;
-  lr.rec.kind = kind;
-  return log_and_apply(std::move(lr));
 }
 
 std::optional<kb::ExperimentRecord> Store::find(const std::string& program,

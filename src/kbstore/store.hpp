@@ -7,7 +7,7 @@
 //
 // Two forms, one index. Store::open(dir) gives the durable form described
 // below. Store::in_memory() gives the same sharded index with the same
-// append/upsert/erase/find/records semantics and nothing else: it owns no
+// append/upsert/find/records semantics and nothing else: it owns no
 // directory, writes no file, buffers no WAL, runs no compaction thread and
 // updates no kbstore.* metric; sync() and compact() do nothing and return
 // true. It backs a tuning service started without a KB path.
@@ -78,7 +78,7 @@ struct Options {
   /// When false, compaction only happens via explicit compact() calls.
   bool background_compaction = true;
   /// Open as a replication follower: the regular write API (append /
-  /// upsert / erase / import_records) throws, compaction is disabled
+  /// upsert / import_records) throws, compaction is disabled
   /// (followers adopt the leader's compactions as snapshot installs),
   /// and mutations arrive only through follower_append /
   /// follower_install_snapshot — which mirror a leader's files
@@ -110,7 +110,7 @@ struct RecoveryInfo {
 
 struct StoreStats {
   std::size_t live = 0;  ///< records in the index
-  std::size_t dead = 0;  ///< superseded/tombstoned log records since compaction
+  std::size_t dead = 0;  ///< superseded log records since compaction
   std::uint64_t appends = 0;
   std::uint64_t flushes = 0;
   std::uint64_t compactions = 0;
@@ -140,10 +140,6 @@ class Store {
   /// Replace the first record under (program, machine, kind), or append
   /// when the key is new. Returns true when a record was replaced.
   bool upsert(kb::ExperimentRecord rec);
-
-  /// Drop every record under the key. Returns true when any existed.
-  bool erase(const std::string& program, const std::string& machine,
-             const std::string& kind);
 
   /// First record under the key (KnowledgeBase::find semantics).
   std::optional<kb::ExperimentRecord> find(const std::string& program,

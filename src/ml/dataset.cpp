@@ -14,18 +14,6 @@ void Dataset::add(std::vector<double> row, int label) {
   num_classes = std::max(num_classes, label + 1);
 }
 
-Dataset Dataset::without(std::size_t i) const {
-  ILC_CHECK(i < x.size());
-  Dataset out;
-  out.num_classes = num_classes;
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    if (j == i) continue;
-    out.x.push_back(x[j]);
-    out.y.push_back(y[j]);
-  }
-  return out;
-}
-
 std::pair<Dataset, Dataset> Dataset::split_by_group(
     const Dataset& d, const std::vector<int>& groups, int g) {
   ILC_CHECK(groups.size() == d.x.size());

@@ -23,20 +23,6 @@ void KnnClassifier::fit(const Dataset& data) {
   num_classes_ = data.num_classes;
 }
 
-std::size_t KnnClassifier::nearest(const std::vector<double>& x) const {
-  ILC_CHECK(train_.size() > 0);
-  std::size_t best = 0;
-  double best_d = dist2(x, train_.x[0]);
-  for (std::size_t i = 1; i < train_.size(); ++i) {
-    const double d = dist2(x, train_.x[i]);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
 std::vector<double> KnnClassifier::predict_proba(
     const std::vector<double>& x) const {
   ILC_CHECK(train_.size() > 0);

@@ -8,6 +8,11 @@ namespace ilc::ml {
 
 namespace {
 
+// Gradient-descent settings: step size, L2 penalty, full passes.
+constexpr double kLearningRate = 0.1;
+constexpr double kL2 = 1e-3;
+constexpr unsigned kEpochs = 300;
+
 double sigmoid(double z) {
   if (z >= 0) {
     const double e = std::exp(-z);
@@ -31,7 +36,7 @@ void LogisticRegression::fit(const Dataset& data) {
   for (int cls = 0; cls < num_classes_; ++cls) {
     auto& w = w_[cls];
     double& b = b_[cls];
-    for (unsigned epoch = 0; epoch < cfg_.epochs; ++epoch) {
+    for (unsigned epoch = 0; epoch < kEpochs; ++epoch) {
       std::vector<double> grad(dim, 0.0);
       double grad_b = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
@@ -42,9 +47,9 @@ void LogisticRegression::fit(const Dataset& data) {
         for (std::size_t j = 0; j < dim; ++j) grad[j] += err * data.x[i][j];
         grad_b += err;
       }
-      const double scale = cfg_.learning_rate / static_cast<double>(n);
+      const double scale = kLearningRate / static_cast<double>(n);
       for (std::size_t j = 0; j < dim; ++j)
-        w[j] -= scale * (grad[j] + cfg_.l2 * w[j] * static_cast<double>(n));
+        w[j] -= scale * (grad[j] + kL2 * w[j] * static_cast<double>(n));
       b -= scale * grad_b;
     }
   }

@@ -25,8 +25,6 @@ struct Dataset {
   std::size_t size() const { return x.size(); }
   std::size_t dim() const { return x.empty() ? 0 : x[0].size(); }
   void add(std::vector<double> row, int label);
-  /// Dataset with row `i` removed (for leave-one-out).
-  Dataset without(std::size_t i) const;
   /// Rows whose group id != g / == g (for leave-one-group-out).
   static std::pair<Dataset, Dataset> split_by_group(
       const Dataset& d, const std::vector<int>& groups, int g);
@@ -55,10 +53,6 @@ class KnnClassifier : public Classifier {
   std::vector<double> predict_proba(const std::vector<double>& x) const override;
   std::string name() const override { return "knn" + std::to_string(k_); }
 
-  /// Index of the single nearest training row (the model-selection
-  /// primitive the counter model uses).
-  std::size_t nearest(const std::vector<double>& x) const;
-
  private:
   unsigned k_;
   Dataset train_;
@@ -68,13 +62,6 @@ class KnnClassifier : public Classifier {
 /// with L2 regularization.
 class LogisticRegression : public Classifier {
  public:
-  struct Config {
-    double learning_rate = 0.1;
-    double l2 = 1e-3;
-    unsigned epochs = 300;
-  };
-  LogisticRegression() = default;
-  explicit LogisticRegression(Config cfg) : cfg_(cfg) {}
   void fit(const Dataset& data) override;
   int predict(const std::vector<double>& x) const override;
   std::vector<double> predict_proba(const std::vector<double>& x) const override;
@@ -84,7 +71,6 @@ class LogisticRegression : public Classifier {
   std::vector<double> scores(const std::vector<double>& x) const;
 
  private:
-  Config cfg_;
   std::vector<std::vector<double>> w_;  // [class][dim]
   std::vector<double> b_;               // [class]
 };
@@ -139,18 +125,11 @@ using ClassifierFactory = std::function<std::unique_ptr<Classifier>()>;
 /// Fraction of rows classified correctly.
 double accuracy(const Classifier& clf, const Dataset& test);
 
-/// Leave-one-out cross-validation accuracy (the paper's protocol).
-double loocv_accuracy(const ClassifierFactory& make, const Dataset& data);
-
 /// Leave-one-group-out accuracy per group (e.g. group = benchmark id, as
 /// in "train on N-1 benchmarks, test on the one left out").
 std::vector<double> logo_accuracy(const ClassifierFactory& make,
                                   const Dataset& data,
                                   const std::vector<int>& groups,
                                   int num_groups);
-
-/// Confusion matrix [true][predicted].
-std::vector<std::vector<unsigned>> confusion(const Classifier& clf,
-                                             const Dataset& test);
 
 }  // namespace ilc::ml

@@ -13,17 +13,6 @@ void RegressionData::add(std::vector<double> row, double target) {
   y.push_back(target);
 }
 
-RegressionData RegressionData::without(std::size_t i) const {
-  ILC_CHECK(i < x.size());
-  RegressionData out;
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    if (j == i) continue;
-    out.x.push_back(x[j]);
-    out.y.push_back(y[j]);
-  }
-  return out;
-}
-
 void RidgeRegression::fit(const RegressionData& data) {
   ILC_CHECK(data.size() > 0);
   const std::size_t d = data.dim() + 1;  // + bias column
@@ -93,16 +82,6 @@ double KnnRegressor::predict(const std::vector<double>& x) const {
     den += w;
   }
   return num / den;
-}
-
-double rmse(const Regressor& model, const RegressionData& test) {
-  ILC_CHECK(test.size() > 0);
-  double s = 0;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const double e = model.predict(test.x[i]) - test.y[i];
-    s += e * e;
-  }
-  return std::sqrt(s / static_cast<double>(test.size()));
 }
 
 namespace {

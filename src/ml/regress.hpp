@@ -17,7 +17,6 @@ struct RegressionData {
   std::size_t size() const { return x.size(); }
   std::size_t dim() const { return x.empty() ? 0 : x[0].size(); }
   void add(std::vector<double> row, double target);
-  RegressionData without(std::size_t i) const;
 };
 
 class Regressor {
@@ -56,9 +55,6 @@ class KnnRegressor : public Regressor {
 };
 
 // --- evaluation ------------------------------------------------------
-
-/// Root-mean-square prediction error on held-out data.
-double rmse(const Regressor& model, const RegressionData& test);
 
 /// Spearman rank correlation between two equal-length vectors — the
 /// design-space metric: a model that ranks configurations correctly is

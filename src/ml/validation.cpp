@@ -12,18 +12,6 @@ double accuracy(const Classifier& clf, const Dataset& test) {
   return static_cast<double>(correct) / static_cast<double>(test.size());
 }
 
-double loocv_accuracy(const ClassifierFactory& make, const Dataset& data) {
-  ILC_CHECK(data.size() > 1);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const Dataset train = data.without(i);
-    auto clf = make();
-    clf->fit(train);
-    if (clf->predict(data.x[i]) == data.y[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(data.size());
-}
-
 std::vector<double> logo_accuracy(const ClassifierFactory& make,
                                   const Dataset& data,
                                   const std::vector<int>& groups,
@@ -40,15 +28,6 @@ std::vector<double> logo_accuracy(const ClassifierFactory& make,
     out.push_back(accuracy(*clf, test));
   }
   return out;
-}
-
-std::vector<std::vector<unsigned>> confusion(const Classifier& clf,
-                                             const Dataset& test) {
-  std::vector<std::vector<unsigned>> m(
-      test.num_classes, std::vector<unsigned>(test.num_classes, 0));
-  for (std::size_t i = 0; i < test.size(); ++i)
-    m[test.y[i]][clf.predict(test.x[i])] += 1;
-  return m;
 }
 
 }  // namespace ilc::ml

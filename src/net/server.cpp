@@ -47,6 +47,10 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kMailboxTag = ~0ULL;
 constexpr std::uint64_t kListenerTag = ~0ULL - 1;
 
+// Graceful-shutdown budget: how long shutdown() waits for in-flight
+// requests to resolve and responses to flush before force-closing.
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+
 std::uint64_t us_between(Clock::time_point a, Clock::time_point b) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
@@ -639,8 +643,7 @@ void Server::shutdown() {
     // Drain phase: in-flight requests resolve (bounded by the service's
     // own lifecycle guarantee) and responses flush. Polling is fine here:
     // shutdown is not a hot path.
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(opts_.drain_timeout_ms);
+    const Clock::time_point deadline = Clock::now() + kDrainTimeout;
     while (active_.value() > 0 && Clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
 

@@ -19,8 +19,8 @@
 //             than write_stall_ms evicts the slow reader, an idle
 //             connection longer than idle_timeout_ms is evicted too.
 //   shutdown  graceful: stop accepting, stop reading, let in-flight
-//             requests resolve and responses flush (bounded by
-//             drain_timeout_ms), force-close stragglers, join the loops.
+//             requests resolve and responses flush (for up to 5 s),
+//             force-close stragglers, join the loops.
 //             A client that disconnects mid-request just stops being
 //             listened to — the service's completion guard retires the
 //             work, no worker hangs, no connection leaks.
@@ -64,9 +64,6 @@ struct ServerOptions {
   /// Evict a connection with no traffic and no pending work for this
   /// long. 0 disables.
   std::uint64_t idle_timeout_ms = 0;
-  /// Graceful-shutdown budget: how long shutdown() waits for in-flight
-  /// requests to resolve and responses to flush before force-closing.
-  std::uint64_t drain_timeout_ms = 5000;
   /// SO_SNDBUF for accepted sockets, 0 = kernel default. Tests shrink it
   /// to make slow-reader eviction deterministic.
   int sndbuf = 0;

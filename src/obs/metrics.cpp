@@ -20,10 +20,6 @@ std::uint64_t CounterData::total() const {
   return sum;
 }
 
-void CounterData::reset() {
-  for (Cell& c : cells) c.v.store(0, std::memory_order_relaxed);
-}
-
 void HistogramData::record(std::uint64_t v) {
   const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
   const std::size_t idx = static_cast<std::size_t>(it - bounds.begin());
@@ -38,14 +34,6 @@ void HistogramData::record(std::uint64_t v) {
   while (v > cur &&
          !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-}
-
-void HistogramData::reset() {
-  for (Cell& b : buckets) b.v.store(0, std::memory_order_relaxed);
-  count.store(0, std::memory_order_relaxed);
-  sum.store(0, std::memory_order_relaxed);
-  min.store(~0ULL, std::memory_order_relaxed);
-  max.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace detail
@@ -190,14 +178,6 @@ RegistrySnapshot Registry::snapshot() const {
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return snap;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (detail::CounterData& c : counters_) c.reset();
-  for (detail::GaugeData& g : gauges_)
-    g.v.store(0, std::memory_order_relaxed);
-  for (detail::HistogramData& h : histograms_) h.reset();
 }
 
 // ---- exporters -----------------------------------------------------------

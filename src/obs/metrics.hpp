@@ -42,7 +42,6 @@ struct CounterData {
   std::string name;
   std::array<Cell, kCounterStripes> cells;
   std::uint64_t total() const;
-  void reset();
 };
 
 struct GaugeData {
@@ -59,7 +58,6 @@ struct HistogramData {
   std::atomic<std::uint64_t> min{~0ULL};
   std::atomic<std::uint64_t> max{0};
   void record(std::uint64_t v);
-  void reset();
 };
 
 }  // namespace detail
@@ -195,10 +193,6 @@ class Registry {
                       std::vector<std::uint64_t> bounds = {});
 
   RegistrySnapshot snapshot() const;
-
-  /// Zero every value, keeping registrations and handles valid. For
-  /// tests and benches that measure deltas.
-  void reset();
 
  private:
   mutable std::mutex mu_;  // registration + snapshot iteration only

@@ -15,12 +15,6 @@ Router::Router(std::vector<Shard> shards, obs::Registry* registry)
   unroutable_ = reg.counter("repl.router.unroutable");
   mark_down_ = reg.counter("repl.router.mark_down");
   mark_up_ = reg.counter("repl.router.mark_up");
-  wrong_shard_ = reg.counter("repl.router.wrong_shard");
-}
-
-Router::Shard Router::shard(std::size_t i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shards_[i];
 }
 
 std::optional<Router::Route> Router::route_shard_locked(std::size_t s) const {
@@ -65,38 +59,6 @@ void Router::mark(const Endpoint& ep, bool down) {
         (down ? mark_down_ : mark_up_).add(1);
       }
   }
-}
-
-bool Router::is_down(const Endpoint& ep) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].primary == ep && down_[s][0]) return true;
-    for (std::size_t k = 0; k < shards_[s].followers.size(); ++k)
-      if (shards_[s].followers[k] == ep && down_[s][1 + k]) return true;
-  }
-  return false;
-}
-
-void Router::note_wrong_shard() { wrong_shard_.add(1); }
-
-bool Router::promote(std::size_t shard, const Endpoint& new_primary) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (shard >= shards_.size()) return false;
-  Shard& sh = shards_[shard];
-  const auto it =
-      std::find(sh.followers.begin(), sh.followers.end(), new_primary);
-  if (it == sh.followers.end()) return false;
-  const Endpoint old_primary = sh.primary;
-  sh.primary = new_primary;
-  sh.followers.erase(it);
-  sh.followers.push_back(old_primary);
-  // Fresh health for the reshaped shard: the new primary is up, the old
-  // one is down until a probe (or caller) says otherwise. Follower flags
-  // are positional, so rebuild them rather than shifting.
-  for (std::size_t k = 0; k < down_[shard].size(); ++k)
-    down_[shard][k] = false;
-  down_[shard][sh.followers.size()] = true;  // demoted old primary
-  return true;
 }
 
 }  // namespace ilc::repl

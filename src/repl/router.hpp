@@ -18,15 +18,15 @@
 // successful probe) or from a cluster::HealthMonitor driving those same
 // hooks from active probes; the Router itself never does IO. All methods
 // are thread-safe: a monitor thread marks endpoints while client threads
-// route.
+// route. The topology is fixed at construction: after a failover, a
+// client builds a fresh Router from the cluster::Registry's map
+// (cluster::to_router_shards).
 //
 // Observability (process-wide registry unless one is injected):
 //   repl.router.fallback_serves   routes answered by a follower
 //   repl.router.unroutable        routes with no healthy endpoint at all
 //   repl.router.mark_down         up -> down endpoint transitions
 //   repl.router.mark_up           down -> up endpoint transitions
-//   repl.router.wrong_shard       wrong-shard refusals reported by callers
-//                                 (a stale shard map on this client)
 #pragma once
 
 #include <algorithm>
@@ -81,7 +81,6 @@ class Router {
                   obs::Registry* registry = nullptr);
 
   std::size_t shard_count() const { return shards_.size(); }
-  Shard shard(std::size_t i) const;
 
   /// Where to send work keyed by `fp`: the owning primary, or — when it
   /// is down — the first healthy follower of that shard, flagged
@@ -96,25 +95,12 @@ class Router {
   /// ignored (a stale config entry is not an error).
   void set_down(const Endpoint& ep) { mark(ep, true); }
   void set_up(const Endpoint& ep) { mark(ep, false); }
-  bool is_down(const Endpoint& ep) const;
-
-  /// A service refused our request as wrong-shard: our map is stale
-  /// relative to the fleet. Counted so operators can see clients that
-  /// need a registry refresh.
-  void note_wrong_shard();
-
-  /// Failover bookkeeping: `new_primary` (one of the shard's followers)
-  /// becomes the primary, marked up; the old primary is demoted to the
-  /// back of the follower list and marked down (it may resurrect as a
-  /// follower after re-sync). False when `shard` is out of range or
-  /// `new_primary` is not a follower of it.
-  bool promote(std::size_t shard, const Endpoint& new_primary);
 
  private:
   void mark(const Endpoint& ep, bool down);
   std::optional<Route> route_shard_locked(std::size_t s) const;
 
-  mutable std::mutex mu_;  // guards shards_ and down_
+  mutable std::mutex mu_;  // guards down_; shards_ is fixed at construction
   std::vector<Shard> shards_;
   // down_[shard][0] = primary, down_[shard][1 + k] = followers[k].
   std::vector<std::vector<bool>> down_;
@@ -123,7 +109,6 @@ class Router {
   obs::Counter unroutable_;
   obs::Counter mark_down_;
   obs::Counter mark_up_;
-  obs::Counter wrong_shard_;
 };
 
 }  // namespace ilc::repl

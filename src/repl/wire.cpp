@@ -126,10 +126,4 @@ MsgReader::Status MsgReader::next(Msg& m) {
   return Status::Ok;
 }
 
-void MsgReader::reset() {
-  buf_.clear();
-  off_ = 0;
-  corrupt_ = false;
-}
-
 }  // namespace ilc::repl

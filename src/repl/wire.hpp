@@ -81,8 +81,6 @@ class MsgReader {
   bool corrupt() const { return corrupt_; }
   /// Bytes buffered but not yet consumed (a torn tail mid-ship).
   std::size_t buffered() const { return buf_.size() - off_; }
-  /// Drop buffered state (reconnect path).
-  void reset();
 
  private:
   std::string buf_;

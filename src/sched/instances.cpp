@@ -140,13 +140,6 @@ std::uint64_t order_cost(const std::vector<Instr>& insts,
   return t + 1;
 }
 
-std::uint64_t greedy_schedule_cost(const std::vector<Instr>& insts) {
-  const ScheduleDag dag = build_dag(insts);
-  Replay r(insts, dag);
-  r.run_to_end();
-  return order_cost(insts, r.order);
-}
-
 void prepare_for_scheduling(ir::Module& mod) {
   opt::canonicalize(mod);
   opt::run_pass(opt::PassId::Inline, mod);

@@ -51,9 +51,6 @@ std::uint64_t order_cost(const std::vector<ir::Instr>& insts,
                          const std::vector<std::size_t>& order,
                          unsigned issue_width = 2);
 
-/// Cost of the critical-path list schedule of a block body.
-std::uint64_t greedy_schedule_cost(const std::vector<ir::Instr>& insts);
-
 /// Put a module into the shape the scheduler actually sees inside a
 /// pipeline: trivial redundancy removed, leaves inlined, blocks merged.
 /// Instance generation and evaluation both use this so train and test

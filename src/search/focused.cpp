@@ -125,28 +125,4 @@ double FocusedModel::log_prob(const std::vector<opt::PassId>& seq) const {
   return std::log(std::max(p, 1e-300));
 }
 
-SearchTrace focused_search(Evaluator& eval, const FocusedModel& model,
-                           support::Rng& rng, unsigned budget, Objective obj,
-                           unsigned workers) {
-  return generator_search(
-      eval, [&] { return model.sample(rng); }, budget, obj, workers);
-}
-
-SearchTrace focused_search(Evaluator& eval, const FocusedModel& model,
-                           const Seeding& seeding, support::Rng& rng,
-                           unsigned budget, Objective obj, unsigned workers) {
-  // Cluster seeds are the starting points; the model fills the remaining
-  // budget. Seeds are consumed before any model sample, so the RNG stream
-  // for the model-driven tail is a pure function of the seed count.
-  unsigned used = 0;
-  auto gen = [&]() -> std::vector<opt::PassId> {
-    while (used < seeding.seeds.size()) {
-      const auto& seed = seeding.seeds[used++];
-      if (model.space().valid(seed)) return seed;
-    }
-    return model.sample(rng);
-  };
-  return generator_search(eval, gen, budget, obj, workers);
-}
-
 }  // namespace ilc::search

@@ -7,9 +7,10 @@
 // sequences: an IID per-position distribution and a first-order Markov
 // chain (both Laplace-smoothed). At prediction time the training program
 // nearest in normalized static-feature space is selected (1-NN, as in the
-// original paper) and its models drive sampling. log_prob() exposes the
-// model density, which the Fig. 2a bench thresholds to draw the
-// "predicted good region" contours.
+// original paper) and its models drive sampling: a search draws its
+// candidates from sample() through search::generator_search. log_prob()
+// exposes the model density, which the Fig. 2a bench thresholds to draw
+// the "predicted good region" contours.
 #pragma once
 
 #include <string>
@@ -17,7 +18,6 @@
 
 #include "features/features.hpp"
 #include "search/space.hpp"
-#include "search/strategies.hpp"
 #include "support/rng.hpp"
 
 namespace ilc::search {
@@ -71,23 +71,5 @@ class FocusedModel {
   std::vector<std::pair<std::size_t, double>> active_;  // (model, weight)
   bool target_set_ = false;
 };
-
-/// Run a model-biased search: draw `budget` candidates from the focused
-/// model (sequentially, preserving the RNG stream) and evaluate them —
-/// concurrently when workers > 1 — committing results in sample order, so
-/// fixed-seed traces are identical at any worker count. The model must
-/// have a target set.
-SearchTrace focused_search(Evaluator& eval, const FocusedModel& model,
-                           support::Rng& rng, unsigned budget,
-                           Objective obj = Objective::Cycles,
-                           unsigned workers = 1);
-
-/// Seeded variant: evaluate the cluster's seed sequences first (skipping
-/// any that the space rejects), then fill the remaining budget from the
-/// focused model.
-SearchTrace focused_search(Evaluator& eval, const FocusedModel& model,
-                           const Seeding& seeding, support::Rng& rng,
-                           unsigned budget, Objective obj = Objective::Cycles,
-                           unsigned workers = 1);
 
 }  // namespace ilc::search

@@ -38,6 +38,12 @@ namespace ilc::search {
 
 namespace {
 
+// Each parent is the best of kTournament uniform draws from the
+// population; a child is a single-point crossover of its two parents with
+// probability kCrossoverRate, else a copy of the first.
+constexpr unsigned kTournament = 3;
+constexpr double kCrossoverRate = 0.8;
+
 obs::Counter& c_ga_generations() {
   static obs::Counter c =
       obs::Registry::instance().counter("search.ga.generations");
@@ -238,7 +244,7 @@ SearchTrace genetic_search(Evaluator& eval, const SequenceSpace& space,
 
   auto tournament = [&]() -> const Individual& {
     const Individual* best = &pop[rng.next_below(pop.size())];
-    for (unsigned i = 1; i < params.tournament; ++i) {
+    for (unsigned i = 1; i < kTournament; ++i) {
       const Individual* cand = &pop[rng.next_below(pop.size())];
       if (better(*cand, *best)) best = cand;
     }
@@ -250,7 +256,7 @@ SearchTrace genetic_search(Evaluator& eval, const SequenceSpace& space,
     const Individual& a = tournament();
     const Individual& b = tournament();
     child.genes = a.genes;
-    if (rng.next_bool(params.crossover_rate) && space.length >= 2) {
+    if (rng.next_bool(kCrossoverRate) && space.length >= 2) {
       const std::size_t cut = 1 + rng.next_below(space.length - 1);
       for (std::size_t i = cut; i < space.length; ++i)
         child.genes[i] = b.genes[i];
@@ -310,9 +316,11 @@ SearchTrace genetic_search(Evaluator& eval, const SequenceSpace& space,
       for (std::size_t i : idx) next.push_back(std::move(cands[i]));
       c_estimator_skipped().add(cands.size() - idx.size());
     } else {
+      // In size_t: a budget near the unsigned maximum must not wrap the
+      // bound and stop breeding after one generation.
       while (next.size() < params.population &&
              trace.evaluations + bred_so_far() <
-                 budget + params.population) {
+                 std::size_t{budget} + params.population) {
         next.push_back(breed_one());
       }
     }

@@ -10,6 +10,20 @@
 
 namespace ilc::search {
 
+namespace {
+
+// Seeds each cluster keeps, best first.
+constexpr std::size_t kSeedsPerCluster = 8;
+// Share of each program's sequence records (best-first) contributed as
+// seed candidates. At least one record always contributes.
+constexpr double kTopFraction = 0.25;
+// RNG seed for k-means++ initialization.
+constexpr std::uint64_t kKmeansSeed = 2008;
+// Minimum training rows before a cluster's estimator switches on.
+constexpr std::size_t kMinEstimatorRows = 8;
+
+}  // namespace
+
 void PerfEstimator::fit(const std::vector<std::vector<opt::PassId>>& seqs,
                         const std::vector<double>& rel_cycles,
                         std::size_t min_rows) {
@@ -78,13 +92,13 @@ SeedBank::SeedBank(const kb::KnowledgeBase& kb, const SequenceSpace& space,
   scaler_.fit(raw);
   for (const auto& r : raw) rows.push_back(scaler_.transform(r));
 
-  support::Rng rng(opts.seed);
+  support::Rng rng(kKmeansSeed);
   const auto km = ml::kmeans(rows, std::max(1u, opts.clusters), rng);
   centroids_ = km.centroids;
   clusters_.resize(centroids_.size());
 
   // Per cluster: pool the member programs' top sequences (by relative
-  // cycles), dedupe, keep the best `seeds_per_cluster`; fit the estimator
+  // cycles), dedupe, keep the best kSeedsPerCluster; fit the estimator
   // on *all* member runs.
   for (std::size_t ci = 0; ci < clusters_.size(); ++ci) {
     std::vector<std::vector<opt::PassId>> est_seqs;
@@ -102,7 +116,7 @@ SeedBank::SeedBank(const kb::KnowledgeBase& kb, const SequenceSpace& space,
                        });
       const std::size_t take = std::max<std::size_t>(
           1, static_cast<std::size_t>(
-                 static_cast<double>(runs.size()) * opts.top_fraction));
+                 static_cast<double>(runs.size()) * kTopFraction));
       for (std::size_t i = 0; i < runs.size(); ++i) {
         const double rel = static_cast<double>(runs[i].first) / base;
         est_seqs.push_back(runs[i].second);
@@ -117,11 +131,11 @@ SeedBank::SeedBank(const kb::KnowledgeBase& kb, const SequenceSpace& space,
                      });
     std::set<std::vector<opt::PassId>> seen;
     for (auto& entry : pool) {
-      if (clusters_[ci].seeds.size() >= opts.seeds_per_cluster) break;
+      if (clusters_[ci].seeds.size() >= kSeedsPerCluster) break;
       if (!seen.insert(entry.second).second) continue;
       clusters_[ci].seeds.push_back(std::move(entry));
     }
-    clusters_[ci].estimator.fit(est_seqs, est_rel, opts.min_estimator_rows);
+    clusters_[ci].estimator.fit(est_seqs, est_rel, kMinEstimatorRows);
   }
 }
 

@@ -50,18 +50,10 @@ class PerfEstimator {
 
 struct SeedBankOptions {
   unsigned clusters = 4;
-  unsigned seeds_per_cluster = 8;
-  /// Share of each program's sequence records (best-first) contributed
-  /// as seed candidates. At least one record always contributes.
-  double top_fraction = 0.25;
   /// Restrict to records of this machine ("" = any).
   std::string machine;
   /// Drop this program's records entirely (leave-one-out benching).
   std::string exclude_program;
-  /// RNG seed for k-means++ initialization.
-  std::uint64_t seed = 2008;
-  /// Minimum training rows before a cluster's estimator switches on.
-  std::size_t min_estimator_rows = 8;
 };
 
 class SeedBank {

@@ -107,9 +107,7 @@ SearchTrace generator_search(
 
 struct GaParams {
   unsigned population = 20;
-  double crossover_rate = 0.8;
   double mutation_rate = 0.1;
-  unsigned tournament = 3;
   unsigned elites = 2;
   /// Evaluation fan-out per generation; breeding stays sequential, so the
   /// trace is identical at any value.

@@ -22,12 +22,4 @@ const char* counter_name(Counter c) {
   }
 }
 
-Counter counter_from_name(const std::string& name) {
-  for (unsigned i = 0; i < kNumCounters; ++i) {
-    if (name == counter_name(static_cast<Counter>(i)))
-      return static_cast<Counter>(i);
-  }
-  return kNumCounters;
-}
-
 }  // namespace ilc::sim

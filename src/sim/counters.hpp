@@ -28,8 +28,6 @@ enum Counter : unsigned {
 };
 
 const char* counter_name(Counter c);
-/// Parse a counter by PAPI-style name; returns kNumCounters on failure.
-Counter counter_from_name(const std::string& name);
 
 struct Counters {
   std::array<std::uint64_t, kNumCounters> v{};

@@ -48,10 +48,4 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 }  // namespace ilc::support

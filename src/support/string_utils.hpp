@@ -13,6 +13,5 @@ std::vector<std::string> split_ws(std::string_view s);
 std::string trim(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
-std::string to_lower(std::string_view s);
 
 }  // namespace ilc::support

@@ -61,6 +61,9 @@ std::string apply_option(TuningRequest& req, const std::string& key,
     else return "unknown machine '" + value + "' (amd|c6713)";
   } else if (key == "budget") {
     if (!parse_field(value, req.budget)) return "bad budget '" + value + "'";
+    if (req.budget > kMaxBudget)
+      return "bad budget '" + value + "' (max " + std::to_string(kMaxBudget) +
+             ")";
   } else if (key == "objective") {
     if (value == "cycles") req.objective = search::Objective::Cycles;
     else if (value == "size") req.objective = search::Objective::CodeSize;

@@ -5,7 +5,7 @@
 // Request lines (`#` starts a comment; blank lines are ignored):
 //   tune <program> [machine=amd|c6713] [budget=N] [objective=cycles|size]
 //                  [strategy=random|greedy|genetic] [priority=N] [seed=N]
-//                  [timeout_ms=N]
+//                  [timeout_ms=N]            (budget at most kMaxBudget)
 //   module <name> <n-lines>   — the next n-lines of input are inline IR
 //                               text registered under <name>; a later
 //                               "tune <name>" submits it
@@ -51,6 +51,15 @@ namespace ilc::svc {
 /// legitimate line is `tune` with every option spelled out, well under
 /// 256 bytes.
 inline constexpr std::size_t kMaxRequestLine = 4096;
+
+/// Largest `budget` a tune request may ask for; parse_command refuses a
+/// larger one like any other bad budget. A search holds a worker for its
+/// whole budget, keeps 8 bytes of trace per evaluation, and random search
+/// lists every candidate up front, so the unsigned range (4294967295)
+/// would let one line hold a worker for hours and grow memory without
+/// bound. 100,000 is about 16x the largest budget any client here sends
+/// (the tuner benchmark's 6000-evaluation GA).
+inline constexpr unsigned kMaxBudget = 100000;
 
 struct Command {
   enum class Kind {

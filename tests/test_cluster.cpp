@@ -208,9 +208,8 @@ TEST(ClusterHealth, DebouncesDownAndRecovery) {
   EXPECT_EQ(metrics.counter("cluster.mark_down").value(), 3u);
   EXPECT_EQ(metrics.counter("cluster.mark_up").value(), 1u);
 
-  monitor.remove(ep);
-  EXPECT_TRUE(monitor.states().empty());
-  EXPECT_EQ(monitor.state(ep), cluster::Health::Down);  // unknown = dark
+  EXPECT_EQ(monitor.state({"127.0.0.1", 1}),  // unknown = dark
+            cluster::Health::Down);
 }
 
 TEST(ClusterHealth, DrivesRouterFallbackAndRecovery) {
@@ -405,9 +404,7 @@ TEST(ClusterRegistry, ShardMapCodecRoundTrips) {
   map.shards[0].leader = {"127.0.0.1", 7100};
   map.shards[0].ship_port = 7200;
   map.shards[0].followers = {{"127.0.0.1", 7101}, {"127.0.0.1", 7102}};
-  map.shards[0].health = "healthy";
   map.shards[1].leader = {"127.0.0.1", 7110};
-  map.shards[1].health = "down";
   // shards[2] never announced: no leader.
 
   cluster::ShardMap back;
@@ -417,7 +414,7 @@ TEST(ClusterRegistry, ShardMapCodecRoundTrips) {
   EXPECT_EQ(back.shards[0].leader, map.shards[0].leader);
   EXPECT_EQ(back.shards[0].ship_port, 7200);
   EXPECT_EQ(back.shards[0].followers, map.shards[0].followers);
-  EXPECT_EQ(back.shards[1].health, "down");
+  EXPECT_EQ(back.shards[1].leader, map.shards[1].leader);
   EXPECT_EQ(back.shards[2].leader.port, 0);  // "-" decodes to unset
 
   // Truncation (no "end") is malformed, not silently accepted.
@@ -482,22 +479,20 @@ TEST(ClusterRegistry, ClientsObserveTheEpochBumpOverTheWire) {
   ASSERT_TRUE(admin.lead(0, leader0, 7200, admin.epoch(), &err)) << err;
   ASSERT_TRUE(admin.follow(0, follower0, &err)) << err;
   ASSERT_TRUE(admin.lead(1, {"127.0.0.1", 7110}, 7210, 0, &err)) << err;
-  ASSERT_TRUE(admin.health(leader0, "down", &err)) << err;
 
   // The observer's cached epoch is stale; refresh() notices and refetches.
   EXPECT_EQ(observer.epoch(), 0u);
   ASSERT_TRUE(observer.refresh(&err)) << err;
-  EXPECT_EQ(observer.epoch(), 4u);
+  EXPECT_EQ(observer.epoch(), 3u);
   const auto shards = observer.router_shards();
   ASSERT_EQ(shards.size(), 2u);
   EXPECT_EQ(shards[0].primary, leader0);
   ASSERT_EQ(shards[0].followers.size(), 1u);
   EXPECT_EQ(shards[0].followers[0], follower0);
-  EXPECT_EQ(observer.map().shards[0].health, "down");
 
   // A refresh with nothing new is one epoch poll, no refetch, still true.
   ASSERT_TRUE(observer.refresh(&err)) << err;
-  EXPECT_EQ(observer.epoch(), 4u);
+  EXPECT_EQ(observer.epoch(), 3u);
 
   // Failover announced with the observer's (current) epoch; a second
   // announcement reusing the now-stale epoch is fenced over the wire.
@@ -508,8 +503,6 @@ TEST(ClusterRegistry, ClientsObserveTheEpochBumpOverTheWire) {
 
   ASSERT_TRUE(observer.refresh(&err)) << err;
   EXPECT_EQ(observer.router_shards()[0].primary, follower0);
-
-  server->stop();
 }
 
 /// Lines of /proc/self/maps, one per mapping. A thread that returned but
@@ -552,7 +545,6 @@ TEST(ClusterRegistry, SequentialConnectionsRetireTheirSessionThreads) {
   EXPECT_LE(after, before + kSlack)
       << kRequests << " requests grew the mappings from " << before << " to "
       << after;
-  server->stop();
 }
 
 // --- scatter-gather -------------------------------------------------------
@@ -584,8 +576,10 @@ TEST(ClusterScatter, GathersAllShardsAndFlagsPartialResults) {
   EXPECT_EQ(r.replies[0].line.rfind("ok pong shard=0/2", 0), 0u);
   EXPECT_FALSE(r.replies[1].ok);
   EXPECT_FALSE(r.replies[1].error.empty());
-  // Scatter is a passive health signal: the dead endpoint is marked.
-  EXPECT_TRUE(router.is_down({"127.0.0.1", 1}));
+  // Scatter is a passive health signal: the dead endpoint is marked, so
+  // its shard (no followers) no longer routes.
+  EXPECT_FALSE(router.route_shard(1).has_value());
+  EXPECT_EQ(metrics.counter("repl.router.mark_down").value(), 1u);
   EXPECT_EQ(metrics.counter("cluster.scatter.partial").value(), 1u);
   EXPECT_GE(metrics.counter("cluster.scatter.shard_errors").value(), 1u);
 

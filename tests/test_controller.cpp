@@ -75,10 +75,9 @@ TEST_F(ControllerFixture, OneShotPredictionBeatsO0OnAverage) {
   // O0 for most programs (geomean > 1).
   double log_speedup = 0.0;
   for (const auto& w : *suite_) {
-    ctrl::IntelligentController controller(*base_, "amd-like");
+    const ctrl::CounterModel model(*base_, w.name, "amd-like");
     const auto* profile = base_->for_program(w.name, "profile")[0];
-    const opt::OptFlags flags =
-        controller.one_shot(profile->dynamic_features, w.name);
+    const opt::OptFlags flags = model.predict(profile->dynamic_features);
     search::Evaluator eval(w.module, sim::amd_like());
     const auto predicted = eval.eval_flags(flags);
     const auto o0 = eval.eval_flags(opt::o0_flags());

@@ -39,16 +39,6 @@ TEST(PhaseDetector, JumpStartsNewPhase) {
   EXPECT_EQ(det.phase_id(), 1u);
 }
 
-TEST(PhaseDetector, ResetClearsState) {
-  dyn::PhaseDetector det;
-  det.feed({1.0});
-  det.feed({100.0});
-  EXPECT_GT(det.phase_id(), 0u);
-  det.reset();
-  EXPECT_EQ(det.phase_id(), 0u);
-  EXPECT_FALSE(det.stable());
-}
-
 TEST(SwitchModule, KeepsMemoryAcrossVersions) {
   wl::Workload w = wl::make_workload("adpcm");
   const auto versions = dyn::default_versions(w.module);

@@ -177,7 +177,7 @@ TEST(KbStore, AppendAccumulatesAndFindReturnsFirst) {
   EXPECT_EQ(recs[2].program, "b");
 }
 
-TEST(KbStore, UpsertReplacesFirstAndEraseDropsKey) {
+TEST(KbStore, UpsertReplacesFirst) {
   TempStoreDir dir("kbstore_test_upsert");
   auto store = Store::open(dir.path, every_append());
   ASSERT_NE(store, nullptr);
@@ -186,10 +186,6 @@ TEST(KbStore, UpsertReplacesFirstAndEraseDropsKey) {
   EXPECT_TRUE(store->upsert(sample("a", 70)));  // replaces the 100 record
   EXPECT_EQ(store->size(), 2u);
   EXPECT_EQ(store->find("a", "amd-like", "sequence")->cycles, 70u);
-
-  EXPECT_TRUE(store->erase("a", "amd-like", "sequence"));
-  EXPECT_FALSE(store->erase("a", "amd-like", "sequence"));
-  EXPECT_EQ(store->size(), 0u);
 }
 
 // Property test: the sharded index must agree with a reference linear
@@ -286,9 +282,8 @@ TEST(KbStore, InMemoryStoreWritesNoFileAndMovesNoMetric) {
     store->append(sample("a", 100));
     EXPECT_FALSE(store->upsert(sample("b", 50)));
     EXPECT_TRUE(store->upsert(sample("b", 40)));
-    EXPECT_TRUE(store->erase("a", "amd-like", "sequence"));
     EXPECT_EQ(store->find("b", "amd-like", "sequence")->cycles, 40u);
-    EXPECT_EQ(store->size(), 1u);
+    EXPECT_EQ(store->size(), 2u);
     EXPECT_TRUE(store->sync());
     EXPECT_TRUE(store->compact());
     const kbstore::StoreStats stats = store->stats();
@@ -697,7 +692,7 @@ kb::ExperimentRecord random_record(std::mt19937_64& rng) {
 
 TEST(KbStoreCodecFuzz, RandomRecordsRoundTripExactly) {
   std::mt19937_64 rng(2008);
-  std::uniform_int_distribution<int> op(1, 3);  // Op::Append..Op::Erase
+  std::uniform_int_distribution<int> op(1, 2);  // Op::Append..Op::Upsert
   for (int i = 0; i < 200; ++i) {
     LogRecord in;
     in.op = static_cast<Op>(op(rng));
@@ -709,7 +704,6 @@ TEST(KbStoreCodecFuzz, RandomRecordsRoundTripExactly) {
     EXPECT_EQ(out->rec.program, in.rec.program);
     EXPECT_EQ(out->rec.machine, in.rec.machine);
     EXPECT_EQ(out->rec.kind, in.rec.kind);
-    if (in.op == Op::Erase) continue;  // tombstones carry only the key
     EXPECT_EQ(out->rec.config, in.rec.config);
     EXPECT_EQ(out->rec.cycles, in.rec.cycles);
     EXPECT_EQ(out->rec.code_size, in.rec.code_size);
@@ -717,6 +711,12 @@ TEST(KbStoreCodecFuzz, RandomRecordsRoundTripExactly) {
     EXPECT_EQ(out->rec.counters, in.rec.counters);
     EXPECT_EQ(out->rec.static_features, in.rec.static_features);
     EXPECT_EQ(out->rec.dynamic_features, in.rec.dynamic_features);
+    // Any other op byte is refused, 3 (a retired tombstone op) included.
+    for (const char bad : {'\0', '\3', '\x7f'}) {
+      std::string mut = payload;
+      mut[0] = bad;
+      EXPECT_FALSE(kbstore::decode_record(mut).has_value()) << int(bad);
+    }
   }
 }
 
@@ -778,7 +778,7 @@ TEST(KbStoreLog, WalkFramesReportsBoundsHealthAndTornTail) {
   LogRecord a, b, c;
   a.rec = sample("a", 1);
   b.rec = sample("b", 2);
-  b.op = Op::Erase;
+  b.op = Op::Upsert;
   c.rec = sample("c", 3);
   kbstore::append_frame(image, kbstore::encode_record(a));
   kbstore::append_frame(image, kbstore::encode_record(b));
@@ -795,7 +795,7 @@ TEST(KbStoreLog, WalkFramesReportsBoundsHealthAndTornTail) {
     EXPECT_TRUE(fb.crc_ok);
     EXPECT_TRUE(fb.decodable);
   }
-  EXPECT_EQ(walked.frames[1].op, Op::Erase);
+  EXPECT_EQ(walked.frames[1].op, Op::Upsert);
 
   // Torn tail: a partial final frame is not reported as a frame at all.
   const auto torn = kbstore::walk_frames(

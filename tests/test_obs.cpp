@@ -160,19 +160,6 @@ TEST(ObsMetrics, HistogramConsistentUnderConcurrency) {
   EXPECT_EQ(hs->max, 999u);
 }
 
-TEST(ObsMetrics, ResetZeroesButKeepsHandles) {
-  obs::Registry reg;
-  obs::Counter c = reg.counter("test.reset");
-  obs::Histogram h = reg.histogram("test.reset_hist");
-  c.add(42);
-  h.record(7);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  c.add(1);  // handle still live after reset
-  EXPECT_EQ(c.value(), 1u);
-}
-
 TEST(ObsMetrics, ExponentialBounds) {
   const std::vector<std::uint64_t> b = obs::exponential_bounds(1, 2.0, 5);
   EXPECT_EQ(b, (std::vector<std::uint64_t>{1, 2, 4, 8, 16}));

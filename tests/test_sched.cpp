@@ -45,20 +45,6 @@ TEST(OrderCost, PrefersLatencyHiding) {
   EXPECT_LT(hidden, naive);
 }
 
-TEST(OrderCost, GreedyMatchesOrEqualsOriginalOnWorkloads) {
-  wl::Workload w = wl::make_workload("sha_lite");
-  for (const auto& fn : w.module.functions()) {
-    for (const auto& bb : fn.blocks) {
-      if (bb.insts.size() < 4) continue;
-      const std::vector<Instr> body(bb.insts.begin(), bb.insts.end() - 1);
-      std::vector<std::size_t> ident(body.size());
-      for (std::size_t i = 0; i < ident.size(); ++i) ident[i] = i;
-      EXPECT_LE(sched::greedy_schedule_cost(body),
-                sched::order_cost(body, ident));
-    }
-  }
-}
-
 TEST(Instances, GeneratedWithConsistentShape) {
   support::Rng rng(5);
   std::vector<sched::Instance> all;

@@ -397,23 +397,6 @@ TEST(Focused, GeneratorSearchUsesModelSamples) {
   EXPECT_TRUE(model.space().valid(trace.best_seq));
 }
 
-TEST(Focused, SeededSearchEvaluatesSeedsFirst) {
-  wl::Workload w = wl::make_workload("fir");
-  Evaluator eval(w.module, sim::amd_like());
-  FocusedModel model = toy_model();
-  model.set_target({9.0, 1.0});
-  Seeding seeding;
-  seeding.seeds = {{PassId::Licm, PassId::Unroll4, PassId::Licm,
-                    PassId::Schedule, PassId::Dce}};
-  Evaluator probe(w.module, sim::amd_like());
-  const std::uint64_t seed_cycles =
-      probe.eval_sequence(seeding.seeds[0]).cycles;
-  support::Rng rng(47);
-  const auto trace = focused_search(eval, model, seeding, rng, 10);
-  EXPECT_EQ(trace.evaluations, 10u);
-  EXPECT_EQ(trace.best_so_far[0], seed_cycles);
-}
-
 // --- GA edge-case regressions ---------------------------------------------
 
 TEST(SpaceMath, UnrollOnlySpaceWaivesAtMostOnceConstraint) {

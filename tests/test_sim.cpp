@@ -301,12 +301,4 @@ TEST(Counters, CumulativeAcrossCalls) {
   EXPECT_EQ(s.counters()[sim::TOT_INS], 0u);
 }
 
-TEST(Counters, NameRoundTrip) {
-  for (unsigned i = 0; i < sim::kNumCounters; ++i) {
-    const auto c = static_cast<sim::Counter>(i);
-    EXPECT_EQ(sim::counter_from_name(sim::counter_name(c)), c);
-  }
-  EXPECT_EQ(sim::counter_from_name("NOPE"), sim::kNumCounters);
-}
-
 }  // namespace

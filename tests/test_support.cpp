@@ -305,7 +305,6 @@ TEST(Strings, SplitWsDropsEmpties) {
 TEST(Strings, TrimAndCase) {
   EXPECT_EQ(trim("  hi \n"), "hi");
   EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(to_lower("MiXeD"), "mixed");
   EXPECT_TRUE(starts_with("foobar", "foo"));
   EXPECT_FALSE(starts_with("fo", "foo"));
 }
