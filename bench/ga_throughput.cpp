@@ -16,6 +16,14 @@
 // counts, not host speed. At more workers `pass_runs` depends on which
 // worker stores a prefix state first.
 //
+// `images` counts the initial memory images built (`sim.image_builds`):
+// the evaluator builds one per pointer width and restarts a per-thread
+// simulator on it, so a run builds at most two, and the gate holds the
+// 1-worker count to the record's too. `setup us/sim` is what a simulation
+// costs besides executing and decoding: the `search.simulate_us` sum minus
+// the `sim.execute_us` and `sim.decode_us` sums, per simulation. It is
+// host time, so it is reported and never gated.
+//
 //   ILC_GA_BUDGET      evaluations per run   (default 400)
 //   ILC_GA_SEED        GA seed               (default 2008)
 //   --smoke            budget 60 (CI correctness pass)
@@ -23,8 +31,8 @@
 //   --baseline <json>  compare against a prior record (a --json summary, or
 //                      a file holding one under a "ga_throughput" key);
 //                      a non-smoke run at the record's seed and budget
-//                      exits nonzero when its 1-worker pipeline, pass-run
-//                      or simulation count exceeds the record's
+//                      exits nonzero when its 1-worker pipeline, pass-run,
+//                      simulation or image count exceeds the record's
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -34,6 +42,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/metrics.hpp"
 #include "search/strategies.hpp"
 #include "sim/program_cache.hpp"
 #include "support/table.hpp"
@@ -51,6 +60,8 @@ struct Run {
   std::size_t pipelines = 0;
   std::size_t pass_runs = 0;
   std::size_t simulations = 0;
+  std::uint64_t image_builds = 0;
+  double setup_us_per_sim = 0.0;
 };
 
 Run run_ga(const ir::Module& mod, unsigned budget, std::uint64_t seed,
@@ -66,14 +77,27 @@ Run run_ga(const ir::Module& mod, unsigned budget, std::uint64_t seed,
   params.workers = workers;
 
   Run out;
+  const obs::RegistrySnapshot before = obs::Registry::instance().snapshot();
   const Clock::time_point t0 = Clock::now();
   out.trace = search::genetic_search(eval, space, rng, budget,
                                      search::Objective::Cycles, params);
   out.secs = std::chrono::duration<double>(Clock::now() - t0).count();
+  const obs::RegistrySnapshot after = obs::Registry::instance().snapshot();
   out.simulations = eval.simulations();
   out.pipelines =
       eval.simulations() + eval.cache_hits() - eval.sequence_hits();
   out.pass_runs = eval.pass_runs();
+  out.image_builds = after.counter_value("sim.image_builds") -
+                     before.counter_value("sim.image_builds");
+  const auto delta = [&](const char* name) {  // a histogram's sum, in us
+    const obs::HistogramSnapshot* a = after.histogram(name);
+    const obs::HistogramSnapshot* b = before.histogram(name);
+    return static_cast<double>((a ? a->sum : 0) - (b ? b->sum : 0));
+  };
+  if (out.simulations > 0)
+    out.setup_us_per_sim = (delta("search.simulate_us") -
+                            delta("sim.execute_us") - delta("sim.decode_us")) /
+                           static_cast<double>(out.simulations);
   return out;
 }
 
@@ -97,6 +121,7 @@ struct Baseline {
   std::uint64_t pipelines = 0;
   std::uint64_t pass_runs = 0;
   std::uint64_t simulations = 0;
+  std::uint64_t image_builds = 0;
 };
 
 Baseline load_baseline(const std::string& path) {
@@ -129,7 +154,8 @@ Baseline load_baseline(const std::string& path) {
              field("\"seed\"", section, &b.seed) != npos &&
              field("\"pipelines\"", row, &b.pipelines) != npos &&
              field("\"pass_runs\"", row, &b.pass_runs) != npos &&
-             field("\"simulations\"", row, &b.simulations) != npos;
+             field("\"simulations\"", row, &b.simulations) != npos &&
+             field("\"image_builds\"", row, &b.image_builds) != npos;
   return b;
 }
 
@@ -148,7 +174,8 @@ int main(int argc, char** argv) {
               host_threads);
 
   support::Table table({"workers", "secs", "evals/s", "speedup", "pipelines",
-                        "pass runs", "sims", "trace == seq"});
+                        "pass runs", "sims", "images", "setup us/sim",
+                        "trace == seq"});
   std::vector<std::string> json_rows;
   bool ok = true;
   Run reference;
@@ -165,7 +192,9 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(workers), fmt(run.secs), fmt(eps),
                    fmt(speedup), std::to_string(run.pipelines),
                    std::to_string(run.pass_runs),
-                   std::to_string(run.simulations), same ? "yes" : "NO"});
+                   std::to_string(run.simulations),
+                   std::to_string(run.image_builds),
+                   fmt(run.setup_us_per_sim), same ? "yes" : "NO"});
     json_rows.push_back(bench::Json()
                             .integer("workers", workers)
                             .number("secs", run.secs)
@@ -175,6 +204,8 @@ int main(int argc, char** argv) {
                             .integer("pipelines", run.pipelines)
                             .integer("pass_runs", run.pass_runs)
                             .integer("simulations", run.simulations)
+                            .integer("image_builds", run.image_builds)
+                            .number("setup_us_per_sim", run.setup_us_per_sim)
                             .boolean("trace_identical", same)
                             .render());
   }
@@ -194,7 +225,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\nbaseline %s (budget %llu, seed %llu), 1 worker:\n"
                 "  pipelines %llu -> %zu, pass runs %llu -> %zu, "
-                "simulations %llu -> %zu\n",
+                "simulations %llu -> %zu, images %llu -> %llu\n",
                 args.baseline_path.c_str(),
                 static_cast<unsigned long long>(base.budget),
                 static_cast<unsigned long long>(base.seed),
@@ -203,14 +234,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(base.pass_runs),
                 reference.pass_runs,
                 static_cast<unsigned long long>(base.simulations),
-                reference.simulations);
+                reference.simulations,
+                static_cast<unsigned long long>(base.image_builds),
+                static_cast<unsigned long long>(reference.image_builds));
     if (base.budget != budget || base.seed != seed) {
       std::printf("  not comparable: this run is budget %u, seed %llu\n",
                   budget, static_cast<unsigned long long>(seed));
     } else {
       counts_ok = reference.pipelines <= base.pipelines &&
                   reference.pass_runs <= base.pass_runs &&
-                  reference.simulations <= base.simulations;
+                  reference.simulations <= base.simulations &&
+                  reference.image_builds <= base.image_builds;
       std::printf("  baseline gate: %s\n", counts_ok ? "PASS" : "FAIL");
     }
     if (args.smoke) counts_ok = true;  // smoke reports, never gates

@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
   // Event census: registry deltas over one disabled-mode workload unit.
   // Multiplicities per call site (fixed by the instrumentation code):
   //   Simulator::call       1 timer + 5 counter adds
+  //   initial image build   1 counter add (image builds)
   //   ProgramCache::get     1 counter add (+1 timer on miss)
   //   Evaluator::simulate   1 span + 1 timer + 1 counter add
   //   fingerprint memo hit  1 counter add
@@ -134,12 +135,14 @@ int main(int argc, char** argv) {
       counter_delta(before, after, "search.eval_cache.hits");
   const std::uint64_t seq_hits =
       counter_delta(before, after, "search.seq_memo.hits");
+  const std::uint64_t image_builds =
+      counter_delta(before, after, "sim.image_builds");
   // Every evaluation that missed the sequence index ran a pipeline.
   const std::uint64_t pipelines = sims + eval_hits - seq_hits;
 
-  const std::uint64_t counter_adds = 5 * inv + pc_hits + pc_misses +
-                                     2 * sims + eval_hits + seq_hits +
-                                     2 * pipelines;
+  const std::uint64_t counter_adds = 5 * inv + image_builds + pc_hits +
+                                     pc_misses + 2 * sims + eval_hits +
+                                     seq_hits + 2 * pipelines;
   const std::uint64_t timer_events = inv + pc_misses + sims;
   const std::uint64_t span_events = sims;
 

@@ -1,10 +1,13 @@
 // The dynamic optimization module (paper Section III-D): each binary
 // carries multiple statically-compiled code versions, a runtime monitor
 // characterizes execution intervals from performance-counter deltas, a
-// phase detector finds stable regions (after Fursin et al.), and an
-// online performance auditor (after Lau et al.) times each version once
-// during stable phases and commits to the winner — re-auditing whenever
-// the phase changes.
+// phase detector starts a new phase whenever an interval's signature jumps
+// away from the previous interval's (after Fursin et al.), and an online
+// performance auditor (after Lau et al.) times each version on one
+// interval in turn and commits to the fastest. When the phase changes
+// under the committed version, the auditor re-audits from the next
+// interval on, without waiting for the new phase to settle; a phase
+// change during an audit round does not restart the round.
 #pragma once
 
 #include <cstdint>
@@ -29,22 +32,20 @@ struct CodeVersion {
 /// the streaming-vs-chasing trade the phased workloads expose.
 std::vector<CodeVersion> default_versions(const ir::Module& base);
 
-/// Stability detector over interval signatures. An interval is "stable"
-/// when the last `window` signatures all lie within `threshold` relative
-/// L1 distance of their mean; a jump starts a new phase id.
+/// Phase detector over interval signatures: a signature farther than
+/// `threshold` relative L1 distance from the previous one starts a new
+/// phase id.
 class PhaseDetector {
  public:
-  explicit PhaseDetector(double threshold = 0.25, unsigned window = 3);
+  explicit PhaseDetector(double threshold = 0.25);
   void feed(const std::vector<double>& signature);
-  bool stable() const;
   unsigned phase_id() const { return phase_; }
 
  private:
   double distance(const std::vector<double>& a,
                   const std::vector<double>& b) const;
   double threshold_;
-  unsigned window_;
-  std::vector<std::vector<double>> recent_;
+  std::vector<double> last_;  // empty before the first feed
   unsigned phase_ = 0;
 };
 

@@ -5,9 +5,7 @@
 
 namespace ilc::dyn {
 
-PhaseDetector::PhaseDetector(double threshold, unsigned window)
-    : threshold_(threshold), window_(window) {
-  ILC_CHECK(window_ >= 2);
+PhaseDetector::PhaseDetector(double threshold) : threshold_(threshold) {
   ILC_CHECK(threshold_ > 0.0);
 }
 
@@ -23,21 +21,8 @@ double PhaseDetector::distance(const std::vector<double>& a,
 }
 
 void PhaseDetector::feed(const std::vector<double>& signature) {
-  if (!recent_.empty() &&
-      distance(signature, recent_.back()) > threshold_) {
-    // Behaviour jumped: new phase, history restarts.
-    ++phase_;
-    recent_.clear();
-  }
-  recent_.push_back(signature);
-  if (recent_.size() > window_) recent_.erase(recent_.begin());
-}
-
-bool PhaseDetector::stable() const {
-  if (recent_.size() < window_) return false;
-  for (std::size_t i = 1; i < recent_.size(); ++i)
-    if (distance(recent_[i], recent_[0]) > threshold_) return false;
-  return true;
+  if (!last_.empty() && distance(signature, last_) > threshold_) ++phase_;
+  last_ = signature;
 }
 
 }  // namespace ilc::dyn

@@ -102,30 +102,36 @@ void store_le(ZeroedBuffer& mem, std::uint64_t addr,
 
 }  // namespace
 
-MemoryImage Module::build_image(std::uint64_t stack_size) const {
-  MemoryImage img;
-  img.ptr_bytes = ptr_bytes_;
-
-  // Assign addresses: null guard, then each global aligned to 64 bytes.
-  std::uint64_t addr = MemoryImage::kNullGuard;
-  img.global_base.resize(globals_.size());
+ImageLayout Module::image_layout() const {
+  // Null guard, then each global aligned to 64 bytes, then the stack.
+  ImageLayout lay;
+  lay.ptr_bytes = ptr_bytes_;
+  std::uint64_t addr = ImageLayout::kNullGuard;
+  lay.global_base.resize(globals_.size());
   for (std::size_t i = 0; i < globals_.size(); ++i) {
     addr = (addr + 63) / 64 * 64;
-    img.global_base[i] = addr;
+    lay.global_base[i] = addr;
     addr += global_bytes(static_cast<GlobalId>(i));
   }
-  addr = (addr + 63) / 64 * 64;
-  img.stack_base = addr;
-  img.stack_size = stack_size;
-  addr += stack_size;
-  img.bytes.reset(addr);
+  lay.stack_base = (addr + 63) / 64 * 64;
+  lay.stack_size = kStackSize;
+  return lay;
+}
 
+MemoryImage Module::build_image() const {
+  MemoryImage img{image_layout(), {}};
+  img.bytes.reset(img.size());
+
+  // Look each global's stride up once, not once per pointer value.
+  std::vector<std::uint64_t> stride(globals_.size());
+  for (std::size_t i = 0; i < globals_.size(); ++i)
+    stride[i] = global_stride(static_cast<GlobalId>(i));
   auto resolve_ptr = [&](GlobalId target, std::int64_t index) -> std::uint64_t {
     if (index < 0) return 0;  // null
     ILC_CHECK_MSG(target != kNoGlobal, "pointer init without ptr_target");
-    const std::uint64_t stride = global_stride(target);
-    const std::uint64_t a =
-        img.global_base[target] + static_cast<std::uint64_t>(index) * stride;
+    ILC_CHECK(target < globals_.size());
+    const std::uint64_t a = img.global_base[target] +
+                            static_cast<std::uint64_t>(index) * stride[target];
     ILC_CHECK(a < img.bytes.size());
     return a;
   };
@@ -142,9 +148,9 @@ MemoryImage Module::build_image(std::uint64_t stack_size) const {
         store_le(img.bytes, base + e * bytes, v, bytes);
       }
     } else {
+      if (g.field_init.empty()) continue;
       const RecordLayout lay = record_layout(g.record);
       const RecordType& rec = records_[g.record];
-      if (g.field_init.empty()) continue;
       for (std::size_t f = 0; f < rec.fields.size(); ++f) {
         const FieldInit& fi = g.field_init[f];
         const bool is_ptr = rec.fields[f].kind == FieldKind::Ptr;

@@ -54,13 +54,16 @@ struct Global {
 
 /// A byte buffer that starts life all-zero. Large buffers are backed by
 /// anonymous mmap so the kernel hands back lazily mapped zero pages:
-/// creating a fresh ~1MB image (mostly untouched stack) costs a syscall
-/// instead of a full memset, and pages the simulated program never touches
-/// are never faulted in. This fixed cost is paid once per Simulator and
-/// dominates short workloads. calloc alone is not enough — glibc's sliding
-/// mmap threshold moves such allocations onto the heap after the first
-/// free, where calloc must memset the whole extent. Small buffers stay on
-/// calloc (a syscall per tiny image would be the slower choice).
+/// creating a ~1MB image (mostly untouched stack) costs a syscall instead
+/// of a full memset, and pages the simulated program never touches are
+/// never faulted in. What a fresh image does cost is a fault per page its
+/// initializers or its run touch, and the unmap at the end, so the search
+/// evaluator keeps one image per thread and restarts it
+/// (sim::Simulator::restart) instead of mapping one per candidate. calloc
+/// alone is not enough — glibc's sliding mmap threshold moves such
+/// allocations onto the heap after the first free, where calloc must
+/// memset the whole extent. Small buffers stay on calloc (a syscall per
+/// tiny image would be the slower choice).
 class ZeroedBuffer {
  public:
   ZeroedBuffer() = default;
@@ -142,18 +145,26 @@ class ZeroedBuffer {
   bool mapped_ = false;
 };
 
-/// The executable image: initial memory contents plus resolved addresses.
-/// Address 0..kNullGuard-1 is never mapped (null-dereference detection).
-struct MemoryImage {
+/// Where a module's data lives in its memory image: a null guard, each
+/// global at a 64-byte-aligned base, then the stack. Two modules with equal
+/// layouts can run against one image (Simulator::switch_module, restart).
+struct ImageLayout {
+  /// Address 0..kNullGuard-1 is never mapped (null-dereference detection).
   static constexpr std::uint64_t kNullGuard = 64;
 
-  ZeroedBuffer bytes;                       // full address space contents
   std::vector<std::uint64_t> global_base;   // base address per global
   std::uint64_t stack_base = 0;             // frames grow upward from here
   std::uint64_t stack_size = 0;
   unsigned ptr_bytes = 8;
 
-  std::uint64_t size() const { return bytes.size(); }
+  /// Total bytes: the globals, then the stack.
+  std::uint64_t size() const { return stack_base + stack_size; }
+  bool operator==(const ImageLayout&) const = default;
+};
+
+/// The executable image: a layout plus the initial memory contents.
+struct MemoryImage : ImageLayout {
+  ZeroedBuffer bytes;  // size() bytes, the full address space
 };
 
 class Module {
@@ -194,8 +205,15 @@ class Module {
   /// Total byte size of a global under the current pointer width.
   std::uint64_t global_bytes(GlobalId id) const;
 
+  /// Bytes reserved for the simulated stack above the globals.
+  static constexpr std::uint64_t kStackSize = 1 << 20;
+
+  /// Addresses of the globals and the stack under the current pointer
+  /// width, without building the image.
+  ImageLayout image_layout() const;
+
   /// Build the initial memory image (globals serialized, stack reserved).
-  MemoryImage build_image(std::uint64_t stack_size = 1 << 20) const;
+  MemoryImage build_image() const;
 
   /// Total static instruction count across functions.
   std::size_t code_size() const;

@@ -1,5 +1,6 @@
 #include "search/evaluator.hpp"
 
+#include <memory>
 #include <tuple>
 
 #include "ir/fingerprint.hpp"
@@ -43,10 +44,15 @@ obs::Histogram& h_simulate_us() {
   return h;
 }
 
+std::uint64_t next_evaluator_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 Evaluator::Evaluator(const ir::Module& base, sim::MachineConfig cfg)
-    : base_(base), cfg_(std::move(cfg)) {}
+    : base_(base), cfg_(std::move(cfg)), id_(next_evaluator_id()) {}
 
 ir::Module Evaluator::optimized(const std::vector<opt::PassId>& seq) const {
   ir::Module m = base_;
@@ -62,9 +68,10 @@ EvalResult Evaluator::simulate(const ir::Module& optimized_mod,
   // module.
   obs::Span span("search.simulate");
   obs::ScopedTimerUs timer(h_simulate_us());
-  sim::Simulator sim(optimized_mod, cfg_,
-                     sim::ProgramCache::instance().get(optimized_mod, fp));
-  const sim::RunResult rr = sim.run();
+  const sim::RunResult rr =
+      thread_simulator(optimized_mod,
+                       sim::ProgramCache::instance().get(optimized_mod, fp))
+          .run();
   EvalResult res;
   res.cycles = rr.cycles;
   res.code_size = optimized_mod.code_size();
@@ -73,6 +80,34 @@ EvalResult Evaluator::simulate(const ir::Module& optimized_mod,
   simulations_.fetch_add(1, std::memory_order_relaxed);
   c_simulations().add(1);
   return res;
+}
+
+sim::Simulator& Evaluator::thread_simulator(
+    const ir::Module& mod, std::shared_ptr<const sim::DecodedProgram> decoded) {
+  struct Slot {
+    std::uint64_t evaluator = 0;  // ids start at 1
+    unsigned ptr_bytes = 0;
+    std::unique_ptr<sim::Simulator> sim;
+  };
+  thread_local Slot slot;
+  if (slot.sim && slot.evaluator == id_ && slot.ptr_bytes == mod.ptr_bytes()) {
+    slot.sim->restart(mod, std::move(decoded));
+    return *slot.sim;
+  }
+  std::shared_ptr<const ir::MemoryImage> initial;
+  {
+    std::lock_guard<std::mutex> lock(images_mu_);
+    std::shared_ptr<const ir::MemoryImage>& img =
+        images_[mod.ptr_bytes() == 4 ? 0 : 1];
+    if (img == nullptr) img = sim::Simulator::initial_image(mod);
+    initial = img;
+  }
+  slot.sim.reset();  // unmap the old image before mapping the next
+  slot.sim = std::make_unique<sim::Simulator>(mod, cfg_, std::move(initial),
+                                              std::move(decoded));
+  slot.evaluator = id_;
+  slot.ptr_bytes = mod.ptr_bytes();
+  return *slot.sim;
 }
 
 void Evaluator::count_hit() {

@@ -35,6 +35,19 @@
 // materialization reuses a per-thread scratch module (copy-assignment into
 // retained capacity) instead of constructing a fresh deep copy per
 // candidate.
+//
+// Simulation reuses a per-thread simulator the same way. No pass reads or
+// writes initializers, and only ptrcompress changes the layout (through
+// the pointer width), so a candidate's initial memory image is the base's
+// image at the candidate's pointer width. The evaluator builds that image
+// once per pointer width and shares it read-only; each thread keeps one
+// sim::Simulator, keyed by evaluator id and pointer width, and restarts it
+// for every candidate under the same key, which copies back only the
+// bytes the previous run stored. A thread keeps one such simulator at
+// most, so a service that caches many evaluators does not keep an image
+// per evaluator and thread. The id comes from a counter, not the
+// evaluator's address, which a later evaluator may reuse; it also fixes
+// the machine, which an evaluator never changes.
 #pragma once
 
 #include <array>
@@ -123,6 +136,9 @@ class Evaluator {
   const EvalResult& memoized(const ir::Module& optimized_mod,
                              std::uint64_t fp);
   EvalResult simulate(const ir::Module& optimized_mod, std::uint64_t fp);
+  /// This thread's simulator, restarted (or built) on `mod`.
+  sim::Simulator& thread_simulator(
+      const ir::Module& mod, std::shared_ptr<const sim::DecodedProgram> decoded);
   void count_hit();
 
   /// One stripe of both memo levels. A fingerprint entry is inserted
@@ -147,6 +163,10 @@ class Evaluator {
 
   ir::Module base_;
   sim::MachineConfig cfg_;
+  const std::uint64_t id_;  // keys the per-thread simulators
+  /// The initial image at pointer width 4 and 8, built on first use.
+  std::mutex images_mu_;
+  std::array<std::shared_ptr<const ir::MemoryImage>, 2> images_;
   bool cache_enabled_ = true;
   std::array<Shard, kShards> shards_;
   std::atomic<std::size_t> simulations_{0};

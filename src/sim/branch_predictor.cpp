@@ -1,5 +1,7 @@
 #include "sim/branch_predictor.hpp"
 
+#include <algorithm>
+
 #include "support/assert.hpp"
 
 namespace ilc::sim {
@@ -10,6 +12,11 @@ BranchPredictor::BranchPredictor(std::uint32_t entries) {
                   "predictor entries must be a power of two");
     table_.assign(entries, 2);  // weakly taken
   }
+}
+
+void BranchPredictor::reset() {
+  std::fill(table_.begin(), table_.end(), 2);
+  history_ = 0;
 }
 
 }  // namespace ilc::sim

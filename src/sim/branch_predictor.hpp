@@ -36,6 +36,9 @@ class BranchPredictor {
 
   bool is_static() const { return table_.empty(); }
 
+  /// Back to the constructed state: counters weakly taken, no history.
+  void reset();
+
  private:
   std::size_t index(std::uint64_t branch_id) const {
     const std::uint64_t mixed = branch_id ^ (history_ * 0x9e3779b97f4a7c15ULL);

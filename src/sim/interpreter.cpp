@@ -48,6 +48,10 @@ obs::Counter& c_l2_misses() {
       obs::Registry::instance().counter("sim.cache.l2_misses");
   return c;
 }
+obs::Counter& c_image_builds() {
+  static obs::Counter c = obs::Registry::instance().counter("sim.image_builds");
+  return c;
+}
 obs::Histogram& h_execute_us() {
   static obs::Histogram h =
       obs::Registry::instance().histogram("sim.execute_us");
@@ -126,14 +130,78 @@ Simulator::Simulator(const ir::Module& mod, const MachineConfig& cfg,
       image_(mod.build_image()),
       l1_(cfg.l1),
       l2_(cfg.l2),
-      bpred_(cfg.bpred_entries) {}
+      bpred_(cfg.bpred_entries) {
+  c_image_builds().add(1);
+}
+
+Simulator::Simulator(const ir::Module& mod, const MachineConfig& cfg,
+                     std::shared_ptr<const ir::MemoryImage> initial,
+                     std::shared_ptr<const DecodedProgram> decoded)
+    : mod_(&mod),
+      decoded_(std::move(decoded)),
+      cfg_(cfg),
+      image_{static_cast<const ir::ImageLayout&>(*initial), {}},
+      initial_(std::move(initial)),
+      l1_(cfg.l1),
+      l2_(cfg.l2),
+      bpred_(cfg.bpred_entries) {
+  check_layout(mod, "a restartable simulator");
+  // The stack above the globals starts zero in a fresh buffer.
+  image_.bytes.reset(image_.size());
+  std::memcpy(image_.bytes.data(), initial_->bytes.data(), image_.stack_base);
+}
+
+std::shared_ptr<const ir::MemoryImage> Simulator::initial_image(
+    const ir::Module& mod) {
+  c_image_builds().add(1);
+  return std::make_shared<const ir::MemoryImage>(mod.build_image());
+}
+
+void Simulator::check_layout(const ir::Module& next, const char* what) const {
+  ILC_CHECK_MSG(next.image_layout() ==
+                    static_cast<const ir::ImageLayout&>(image_),
+                what << " requires an identical memory layout");
+}
+
+void Simulator::restart(const ir::Module& next,
+                        std::shared_ptr<const DecodedProgram> decoded) {
+  ILC_CHECK_MSG(initial_ != nullptr,
+                "restart needs a simulator built on an initial image");
+  check_layout(next, "restart");
+  // Copy the initial bytes back over what the stores wrote: globals from
+  // the initial image, the stack (zero in every initial image) by memset.
+  if (store_lo_ < store_hi_) {
+    std::uint8_t* const mem = image_.bytes.data();
+    const std::uint64_t split =
+        std::clamp(image_.stack_base, store_lo_, store_hi_);
+    std::memcpy(mem + store_lo_, initial_->bytes.data() + store_lo_,
+                split - store_lo_);
+    std::memset(mem + split, 0, store_hi_ - split);
+  }
+  store_lo_ = UINT64_MAX;
+  store_hi_ = 0;
+#ifndef NDEBUG
+  {
+    const ir::MemoryImage fresh = next.build_image();
+    ILC_CHECK_MSG(std::memcmp(fresh.bytes.data(), image_.bytes.data(),
+                              fresh.size()) == 0,
+                  "restart left an image unequal to " << next.name
+                                                      << "'s initial image");
+  }
+#endif
+  l1_.clear();
+  l2_.clear();
+  bpred_.reset();
+  total_ = Counters{};
+  cycle_ = 0;
+  slots_used_ = 0;
+  executed_ = 0;
+  mod_ = &next;
+  decoded_ = std::move(decoded);
+}
 
 void Simulator::switch_module(const ir::Module& next) {
-  const ir::MemoryImage other = next.build_image(image_.stack_size);
-  ILC_CHECK_MSG(other.global_base == image_.global_base &&
-                    other.bytes.size() == image_.bytes.size() &&
-                    other.ptr_bytes == image_.ptr_bytes,
-                "switch_module requires an identical memory layout");
+  check_layout(next, "switch_module");
   mod_ = &next;
   decoded_ = nullptr;  // the next engine call fetches `next`'s decoding
 }
@@ -164,6 +232,8 @@ void Simulator::store_value(std::uint64_t addr, std::int64_t value,
   const auto v = static_cast<std::uint64_t>(value);
   for (unsigned i = 0; i < bytes; ++i)
     image_.bytes[addr + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  store_lo_ = std::min(store_lo_, addr);
+  store_hi_ = std::max(store_hi_, addr + bytes);
 }
 
 std::uint32_t Simulator::mem_access(std::uint64_t addr, bool is_write) {
@@ -573,6 +643,8 @@ RunResult Simulator::execute(FuncId fn_id,
   std::uint64_t cycle = cycle_;
   std::uint32_t slots = slots_used_;
   std::uint64_t executed = executed_;
+  std::uint64_t store_lo = store_lo_;
+  std::uint64_t store_hi = store_hi_;
 
   if (frames_.size() < kMaxCallDepth) frames_.resize(kMaxCallDepth);
   std::size_t depth = 0;
@@ -769,6 +841,8 @@ RunResult Simulator::execute(FuncId fn_id,
       // counted but does not stall the pipeline.
       mem_access(addr, /*is_write=*/true);
       store_le(mem + addr, static_cast<std::uint64_t>(regs[rb]), bytes);
+      store_lo = std::min(store_lo, addr);
+      store_hi = std::max(store_hi, addr + bytes);
       ++ip;
       ILC_DISPATCH();
     }
@@ -859,6 +933,8 @@ RunResult Simulator::execute(FuncId fn_id,
     cycle_ = cycle;
     slots_used_ = slots;
     executed_ = executed;
+    store_lo_ = store_lo;
+    store_hi_ = store_hi;
     total_[TOT_CYC] += cycle - cycles_before;
 
     RunResult rr;
@@ -880,6 +956,8 @@ RunResult Simulator::execute(FuncId fn_id,
     cycle_ = cycle;
     slots_used_ = slots;
     executed_ = executed;
+    store_lo_ = store_lo;
+    store_hi_ = store_hi;
     throw;
   }
 }

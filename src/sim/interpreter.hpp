@@ -7,6 +7,17 @@
 // what the dynamic-optimization module needs to audit code versions
 // across execution intervals.
 //
+// Built on a shared initial image instead of a module's own, a Simulator
+// can also be restart()ed onto another module with the same memory
+// layout, and is then in exactly the state of a freshly constructed one:
+// memory back to the initial image, caches cold, predictor and clock
+// reset, counters zero. Both engines track the lowest and highest byte
+// their stores wrote (also when a run traps), and the restart copies the
+// initial bytes back over that range only, so setting up a run costs in
+// proportion to what the last run stored, not to the data the program
+// declares. The search evaluator restarts one simulator per thread for
+// every candidate it simulates.
+//
 // call()/run() execute a sim::DecodedProgram (flat pre-decoded instruction
 // arrays shared through the process-wide ProgramCache) with computed-goto
 // threaded dispatch. That is the only engine; every production caller
@@ -59,6 +70,28 @@ class Simulator {
   /// avoid a second fingerprint pass.
   Simulator(const ir::Module& mod, const MachineConfig& cfg,
             std::shared_ptr<const DecodedProgram> decoded = nullptr);
+
+  /// A restartable simulator: runs `mod` against a copy of `initial`,
+  /// which must be `mod`'s initial image (see initial_image) and is only
+  /// read, so one image can serve many simulators.
+  Simulator(const ir::Module& mod, const MachineConfig& cfg,
+            std::shared_ptr<const ir::MemoryImage> initial,
+            std::shared_ptr<const DecodedProgram> decoded = nullptr);
+
+  /// `mod`'s initial memory image, for the restartable constructor. Every
+  /// initial image a Simulator builds, here or in the first constructor,
+  /// counts on the `sim.image_builds` registry counter.
+  static std::shared_ptr<const ir::MemoryImage> initial_image(
+      const ir::Module& mod);
+
+  /// Start over on `next`, as if constructed anew on it (see the file
+  /// comment). Needs the restartable constructor. `next` must have the
+  /// same memory layout (checked) and the same initializers (the caller's
+  /// contract; Debug builds check the whole image) as the module the
+  /// initial image was built from, and the caller must keep it alive.
+  /// `decoded` as in the constructor.
+  void restart(const ir::Module& next,
+               std::shared_ptr<const DecodedProgram> decoded = nullptr);
 
   /// Invoke a function by id with the given arguments.
   RunResult call(ir::FuncId fn, const std::vector<std::int64_t>& args = {});
@@ -128,11 +161,19 @@ class Simulator {
   std::int64_t load_value(std::uint64_t addr, unsigned bytes, bool is_ptr) const;
   void store_value(std::uint64_t addr, std::int64_t value, unsigned bytes);
   void bounds_check(std::uint64_t addr, unsigned bytes) const;
+  /// Throws unless `next` lays its memory out exactly like image_.
+  void check_layout(const ir::Module& next, const char* what) const;
 
-  const ir::Module* mod_;  // never null; switchable via switch_module
+  const ir::Module* mod_;  // never null; replaced by switch_module, restart
   std::shared_ptr<const DecodedProgram> decoded_;  // null until first call()
   MachineConfig cfg_;
   ir::MemoryImage image_;
+  /// The image restart() restores; null unless built restartable.
+  std::shared_ptr<const ir::MemoryImage> initial_;
+  /// Bytes [store_lo_, store_hi_) hold every store since the image was
+  /// last initial (empty when store_lo_ >= store_hi_).
+  std::uint64_t store_lo_ = UINT64_MAX;
+  std::uint64_t store_hi_ = 0;
   Cache l1_;
   Cache l2_;
   BranchPredictor bpred_;

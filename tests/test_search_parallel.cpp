@@ -8,7 +8,9 @@
 // memo-off run at every worker count. Nor may the GA's prefix states,
 // which only a memo-on run uses: traces, fronts and simulation counts
 // match the memo-off run, and the store itself admits, bounds and
-// releases what its contract says.
+// releases what its contract says. Nor may the per-thread simulators the
+// evaluator restarts: evaluators that share threads, or an address, must
+// score every candidate as a fresh simulator would.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,12 +19,14 @@
 #include <utility>
 #include <vector>
 
+#include "ir/builder.hpp"
 #include "ir/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "search/prefix_states.hpp"
 #include "search/seedbank.hpp"
 #include "search/strategies.hpp"
 #include "sim/program_cache.hpp"
+#include "support/thread_pool.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -597,6 +601,142 @@ TEST(EvaluatorStampede, CacheDisabledSimulatesEveryCall) {
   eval.eval_sequence(seq);
   EXPECT_EQ(eval.simulations(), 2u);
   EXPECT_EQ(eval.cache_hits(), 0u);
+}
+
+// --- per-thread simulators --------------------------------------------------
+
+void expect_same_result(const search::EvalResult& got,
+                        const search::EvalResult& want) {
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.code_size, want.code_size);
+  EXPECT_EQ(got.instructions, want.instructions);
+  EXPECT_EQ(got.counters.v, want.counters.v);
+}
+
+TEST(ThreadSimulator, InterleavedEvaluatorsMatchSeparateRuns) {
+  // As in svc, one pool's threads serve evaluators of different programs
+  // and machines; here they alternate candidate by candidate, so a
+  // thread's simulator changes key between most candidates.
+  const search::SequenceSpace space;
+  support::Rng rng(31);
+  std::vector<std::vector<opt::PassId>> seqs;
+  for (int i = 0; i < 24; ++i) seqs.push_back(space.sample(rng));
+  const std::pair<const char*, sim::MachineConfig> sides[2] = {
+      {"mcf_lite", sim::amd_like()}, {"linklist", sim::c6713_like()}};
+
+  std::vector<search::SearchTrace> alone_traces(2);
+  std::vector<std::vector<search::EvalResult>> alone(2);
+  std::vector<std::size_t> alone_sims(2);
+  for (int k = 0; k < 2; ++k) {
+    search::Evaluator eval(wl::make_workload(sides[k].first).module,
+                           sides[k].second);
+    for (const auto& seq : seqs) {
+      alone[k].push_back(eval.eval_sequence(seq));
+      alone_traces[k].record(seq, alone[k].back().cycles);
+    }
+    alone_sims[k] = eval.simulations();
+  }
+
+  search::Evaluator a(wl::make_workload(sides[0].first).module,
+                      sides[0].second);
+  search::Evaluator b(wl::make_workload(sides[1].first).module,
+                      sides[1].second);
+  search::Evaluator* const evals[2] = {&a, &b};
+  std::vector<std::vector<search::EvalResult>> shared(
+      2, std::vector<search::EvalResult>(seqs.size()));
+  {
+    support::ThreadPool pool(2);
+    for (std::size_t i = 0; i < seqs.size(); ++i)
+      for (int k = 0; k < 2; ++k)
+        pool.submit(
+            [&, i, k] { shared[k][i] = evals[k]->eval_sequence(seqs[i]); });
+    pool.wait_idle();
+  }
+  for (int k = 0; k < 2; ++k) {
+    SCOPED_TRACE(sides[k].first);
+    search::SearchTrace trace;
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      expect_same_result(shared[k][i], alone[k][i]);
+      trace.record(seqs[i], shared[k][i].cycles);
+    }
+    expect_same_trace(trace, alone_traces[k]);
+    EXPECT_EQ(evals[k]->simulations(), alone_sims[k]);
+  }
+}
+
+/// main() loops as many times as its one global says: same layout and
+/// code for every `trips`, different data.
+ir::Module counted_loop(std::int64_t trips) {
+  ir::Module m;
+  ir::Global n;
+  n.name = "n";
+  n.count = 1;
+  n.init = {trips};
+  m.add_global(n);
+  ir::FunctionBuilder b(m, "main", 0);
+  const ir::Reg limit = b.load(b.global_addr(0), 0, ir::MemWidth::W8);
+  const ir::Reg i = b.fresh();
+  b.mov_to(i, b.imm(0));
+  const ir::BlockId head = b.new_block();
+  const ir::BlockId body = b.new_block();
+  const ir::BlockId done = b.new_block();
+  b.jump(head);
+  b.switch_to(head);
+  b.br(b.cmp_lt(i, limit), body, done);
+  b.switch_to(body);
+  b.mov_to(i, b.add_i(i, 1));
+  b.jump(head);
+  b.switch_to(done);
+  b.ret(i);
+  b.finish();
+  return m;
+}
+
+TEST(ThreadSimulator, EvaluatorAtAFreedAddressBuildsItsOwnImage) {
+  // Each evaluator is freed before the next is made, which may put the
+  // next one at the same address. Keyed by address, it would restart the
+  // previous one's simulator and loop over the previous one's data.
+  const std::vector<opt::PassId> seq = {opt::PassId::Dce};
+  for (const std::int64_t trips : {10, 50, 90}) {
+    SCOPED_TRACE("trips=" + std::to_string(trips));
+    auto eval = std::make_unique<search::Evaluator>(counted_loop(trips),
+                                                    sim::amd_like());
+    const sim::RunResult want =
+        sim::Simulator(eval->optimized(seq), sim::amd_like()).run();
+    const search::EvalResult got = eval->eval_sequence(seq);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.counters.v, want.counters.v);
+  }
+}
+
+TEST(ThreadSimulator, BuildsTheInitialImageOncePerPointerWidth) {
+  // Candidates alternate between pointer widths 8 and 4 on one thread.
+  using opt::PassId;
+  const std::vector<std::vector<PassId>> seqs = {
+      {PassId::Dce},        {PassId::PtrCompress},
+      {PassId::Cse},        {PassId::PtrCompress, PassId::Dce},
+      {PassId::Licm},       {PassId::Cse, PassId::PtrCompress},
+      {PassId::Peephole}};
+  search::Evaluator eval(wl::make_workload("mcf_lite").module,
+                         sim::amd_like());
+  std::vector<sim::RunResult> want;
+  for (const auto& seq : seqs)
+    want.push_back(sim::Simulator(eval.optimized(seq), sim::amd_like()).run());
+
+  const auto image_builds = [] {
+    return obs::Registry::instance().snapshot().counter_value(
+        "sim.image_builds");
+  };
+  const std::uint64_t before = image_builds();
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    SCOPED_TRACE("candidate " + std::to_string(i));
+    const search::EvalResult got = eval.eval_sequence(seqs[i]);
+    EXPECT_EQ(got.cycles, want[i].cycles);
+    EXPECT_EQ(got.instructions, want[i].instructions);
+    EXPECT_EQ(got.counters.v, want[i].counters.v);
+  }
+  EXPECT_EQ(image_builds() - before, 2u);
 }
 
 }  // namespace

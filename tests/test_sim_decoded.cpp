@@ -8,10 +8,18 @@
 // instruction mix, and record layouts), on superblock-boundary stressors,
 // and across switch_module code versions. ("Legacy" in test names is the
 // reference.)
+//
+// A restarted Simulator must be indistinguishable from a fresh one in the
+// same way, whatever the run before the restart stored or trapped on; and
+// the initial images it restores are pinned by digest.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <thread>
+#include <tuple>
 
 #include "dynopt/dynopt.hpp"
 #include "ir/builder.hpp"
@@ -21,6 +29,7 @@
 #include "sim/interpreter.hpp"
 #include "sim/program_cache.hpp"
 #include "support/assert.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -330,6 +339,243 @@ TEST(DecodedProgram, RejectsOutOfRangeGlobalId) {
   g.count = 4;
   m.add_global(g);
   EXPECT_NO_THROW(sim::decode_program(m));
+}
+
+// --- initial images -------------------------------------------------------
+
+std::uint64_t image_digest(const ir::MemoryImage& img) {
+  support::Hasher h;
+  h.pod(img.size()).pod(img.stack_base).pod(img.stack_size).pod(img.ptr_bytes);
+  for (const std::uint64_t b : img.global_base) h.pod(b);
+  h.bytes(img.bytes.data(), img.bytes.size());
+  return h.digest();
+}
+
+TEST(InitialImage, DigestsOfEveryWorkloadAtBothPointerWidths) {
+  // Recorded from build_image before its strides were computed once per
+  // global: hoisting them must not move a byte or an address.
+  struct Expected {
+    const char* workload;
+    std::uint64_t ptr8;
+    std::uint64_t ptr4;
+  };
+  const Expected expected[] = {
+      {"adpcm", 0x67849091b7ab8b39ULL, 0x25fc69fe3898777dULL},
+      {"mcf_lite", 0x7c4d232f5c8a2732ULL, 0xacb4598030b56153ULL},
+      {"matmul", 0x26a67f72b43d0a43ULL, 0xa28f9149cd9217ffULL},
+      {"fir", 0x21bb7bbbe7cbdde8ULL, 0x57902cb931926a84ULL},
+      {"crc32", 0xae4ef9be96f26878ULL, 0xf6e3939c0cfa973cULL},
+      {"dijkstra", 0x4496c0a63873f2d3ULL, 0x5da4d59d8a56484fULL},
+      {"histogram", 0xce71f8aa9419793cULL, 0x8e7e8906d42e6568ULL},
+      {"stencil", 0xf6cf24b8859349c1ULL, 0xc0527a72fa3d3dadULL},
+      {"shellsort", 0x43d1a8c765af81faULL, 0xf0f86f8785f4f8f6ULL},
+      {"strsearch", 0x774b0de85f970e0bULL, 0x32547b51b5e477cfULL},
+      {"sha_lite", 0x98c5b49efab16451ULL, 0xda5bc66b2989b165ULL},
+      {"rle", 0x259c62ca6db9ebc3ULL, 0xb582037ecd5b94c7ULL},
+      {"bitcount", 0x5a63622b36dc04e0ULL, 0x606eeb2c3110ff04ULL},
+      {"dotprod", 0xd0994547250e5375ULL, 0x436e904351eb5c19ULL},
+      {"linklist", 0xc8855308b62a9c30ULL, 0x69b0d1aa33056220ULL},
+      {"treewalk", 0x2ffdb7baf81d8138ULL, 0xe419b422ca640bb7ULL},
+      {"phased_mix", 0xac7ed0de15dae318ULL, 0xe47a3e950a45afd4ULL},
+  };
+  ASSERT_EQ(std::size(expected), wl::workload_names().size());
+  for (const Expected& e : expected) {
+    ir::Module m = wl::make_workload(e.workload).module;
+    const ir::MemoryImage img8 = m.build_image();
+    EXPECT_EQ(image_digest(img8), e.ptr8) << e.workload << " ptr=8";
+    EXPECT_TRUE(m.image_layout() == img8) << e.workload;
+    m.set_ptr_bytes(4);
+    const ir::MemoryImage img4 = m.build_image();
+    EXPECT_EQ(image_digest(img4), e.ptr4) << e.workload << " ptr=4";
+    EXPECT_TRUE(m.image_layout() == img4) << e.workload;
+  }
+}
+
+// --- restart ----------------------------------------------------------------
+
+/// Runs `mods` in order, each on a fresh Simulator and on a restartable one
+/// that only restarts: one per pointer width, built on the first module of
+/// that width. Every run must agree on the return value, cycles,
+/// instructions and every counter, per run and cumulatively.
+void expect_restarted_matches_fresh(const std::vector<ir::Module>& mods,
+                                    const sim::MachineConfig& cfg,
+                                    const std::string& label) {
+  std::map<unsigned, std::unique_ptr<sim::Simulator>> restarted;
+  for (std::size_t i = 0; i < mods.size(); ++i) {
+    const ir::Module& mod = mods[i];
+    sim::Simulator fresh(mod, cfg);
+    const sim::RunResult want = fresh.run();
+    std::unique_ptr<sim::Simulator>& s = restarted[mod.ptr_bytes()];
+    if (s == nullptr) {
+      s = std::make_unique<sim::Simulator>(mod, cfg,
+                                           sim::Simulator::initial_image(mod));
+    } else {
+      s->restart(mod);
+    }
+    const std::string what = label + " " + cfg.name + " #" + std::to_string(i);
+    expect_identical(want, s->run(), what);
+    EXPECT_EQ(fresh.counters().v, s->counters().v) << what;
+  }
+}
+
+/// The base module and fixed optimization sequences of it, some with
+/// ptrcompress and some without, interleaved so that every restart
+/// follows a run at the other pointer width.
+std::vector<ir::Module> fixed_versions(const ir::Module& base) {
+  using opt::PassId;
+  const std::vector<std::vector<PassId>> seqs = {
+      {},
+      {PassId::PtrCompress},
+      {PassId::ConstProp, PassId::Cse, PassId::Dce},
+      {PassId::Inline, PassId::Unroll4, PassId::PtrCompress, PassId::Schedule},
+      {PassId::Licm, PassId::StrengthRed, PassId::Prefetch},
+      {PassId::PtrCompress, PassId::Reassoc, PassId::Peephole,
+       PassId::SimplifyCfg},
+      {PassId::Unroll2, PassId::CopyProp, PassId::Dce},
+  };
+  std::vector<ir::Module> out;
+  for (const auto& seq : seqs) {
+    ir::Module m = base;
+    opt::run_sequence(m, seq);
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+class RestartDifferential : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RestartDifferential, RestartedMatchesFreshThroughFixedSequences) {
+  const wl::Workload w = wl::make_workload(GetParam());
+  const std::vector<ir::Module> versions = fixed_versions(w.module);
+  for (const sim::MachineConfig& cfg : {sim::amd_like(), sim::c6713_like()})
+    expect_restarted_matches_fresh(versions, cfg, w.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, RestartDifferential,
+                         ::testing::ValuesIn(wl::workload_names()),
+                         [](const auto& info) { return info.param; });
+
+TEST(Restart, RestartedMatchesFreshOnRandomizedModules) {
+  // Each randomized module runs after its own unoptimized base program
+  // dirtied the simulator it restarts.
+  for (const auto& [label, mod] : randomized_modules()) {
+    std::vector<ir::Module> mods;
+    mods.push_back(wl::make_workload(label.substr(0, label.find('/'))).module);
+    mods.push_back(mod);
+    expect_restarted_matches_fresh(mods, sim::amd_like(), label);
+  }
+}
+
+/// Globals `a` (16 x i64, initialized) and `b` (8 x i32, zero) shared by
+/// the store-and-trap programs below, which differ only in code.
+void add_data(ir::Module& m) {
+  ir::Global a;
+  a.name = "a";
+  a.count = 16;
+  for (int i = 0; i < 16; ++i) a.init.push_back(100 + i);
+  m.add_global(a);
+  ir::Global b;
+  b.name = "b";
+  b.elem_width = 4;
+  b.count = 8;
+  m.add_global(b);
+}
+
+/// Sums a[0..15] and b[0..7] as main's result.
+ir::Module make_summing_module() {
+  ir::Module m;
+  add_data(m);
+  ir::FunctionBuilder fb(m, "main", 0);
+  ir::Reg sum = fb.imm(0);
+  const ir::Reg a = fb.global_addr(0);
+  const ir::Reg b = fb.global_addr(1);
+  for (int i = 0; i < 16; ++i)
+    sum = fb.add(sum, fb.load(a, 8 * i, ir::MemWidth::W8));
+  for (int i = 0; i < 8; ++i)
+    sum = fb.add(sum, fb.load(b, 4 * i, ir::MemWidth::W4));
+  fb.ret(sum);
+  fb.finish();
+  return m;
+}
+
+TEST(Restart, AfterAStoreThenATrapMidSuperblock) {
+  // Stores to both globals and the stack, then a null load in the same
+  // straight-line run: the trap unwinds mid-superblock, and the stores
+  // before it must still be restored.
+  ir::Module trapping;
+  add_data(trapping);
+  {
+    ir::FunctionBuilder fb(trapping, "main", 0, /*frame_size=*/16);
+    const ir::Reg v = fb.imm(-7);
+    fb.store(fb.global_addr(0), 8 * 3, v, ir::MemWidth::W8);
+    fb.store(fb.global_addr(1), 4 * 7, v, ir::MemWidth::W4);
+    fb.store(fb.frame_addr(0), 0, v, ir::MemWidth::W8);
+    const ir::Reg x = fb.load(fb.imm(0), 0, ir::MemWidth::W8);  // traps
+    fb.ret(fb.add(x, v));
+    fb.finish();
+  }
+  const ir::Module clean = make_summing_module();
+  const sim::MachineConfig cfg = sim::amd_like();
+  const sim::RunResult want = sim::Simulator(clean, cfg).run();
+
+  // The engine and the reference each run the trapping program, then the
+  // clean one on the same simulator.
+  sim::Simulator engine(trapping, cfg,
+                        sim::Simulator::initial_image(trapping));
+  EXPECT_THROW(engine.run(), sim::TrapError);
+  engine.restart(clean);
+  expect_identical(want, engine.run(), "engine after trap");
+
+  sim::Simulator reference(trapping, cfg,
+                           sim::Simulator::initial_image(trapping));
+  EXPECT_THROW(reference.run_reference(), sim::TrapError);
+  reference.restart(clean);
+  expect_identical(want, reference.run_reference(), "reference after trap");
+}
+
+TEST(Restart, AfterStoresIntoEveryGlobalAndAboveTheStackInUse) {
+  // Reads every byte range it later overwrites: the first and last element
+  // of each global, main's frame, and the top of the stack far above any
+  // frame. A restart that missed any of them changes the next run's sum.
+  ir::Module m;
+  add_data(m);
+  const std::uint64_t top = ir::Module::kStackSize - 8;
+  {
+    ir::FunctionBuilder fb(m, "main", 0, /*frame_size=*/16);
+    const ir::Reg a = fb.global_addr(0);
+    const ir::Reg b = fb.global_addr(1);
+    const ir::Reg frame = fb.frame_addr(0);
+    const std::vector<std::tuple<ir::Reg, std::int64_t, ir::MemWidth>> slots =
+        {{a, 0, ir::MemWidth::W8},
+         {a, 8 * 15, ir::MemWidth::W8},
+         {b, 0, ir::MemWidth::W4},
+         {b, 4 * 7, ir::MemWidth::W4},
+         {frame, 0, ir::MemWidth::W8},
+         {frame, static_cast<std::int64_t>(top), ir::MemWidth::W8}};
+    ir::Reg sum = fb.imm(0);
+    for (const auto& [base, off, width] : slots)
+      sum = fb.add(fb.mul_i(sum, 3), fb.load(base, off, width));
+    for (const auto& [base, off, width] : slots)
+      fb.store(base, off, fb.add_i(sum, off), width);
+    fb.ret(sum);
+    fb.finish();
+  }
+  const std::vector<ir::Module> mods(3, m);
+  expect_restarted_matches_fresh(mods, sim::amd_like(), "every global");
+  expect_identical(sim::Simulator(m, sim::amd_like()).run_reference(),
+                   sim::Simulator(m, sim::amd_like()).run(), "reference");
+}
+
+TEST(Restart, RefusesAModuleWithAnotherLayout) {
+  const wl::Workload w = wl::make_workload("mcf_lite");
+  ir::Module compressed = w.module;
+  compressed.set_ptr_bytes(4);
+  sim::Simulator s(w.module, sim::amd_like(),
+                   sim::Simulator::initial_image(w.module));
+  EXPECT_THROW(s.restart(compressed), support::CheckError);
+  // A simulator built on its module's own image cannot restart at all.
+  sim::Simulator plain(w.module, sim::amd_like());
+  EXPECT_THROW(plain.restart(w.module), support::CheckError);
 }
 
 }  // namespace
