@@ -116,6 +116,7 @@ int main(int argc, char** argv) {
   //   fingerprint memo hit  1 counter add
   //   sequence index hit    2 counter adds (eval cache + seq memo)
   //   pipeline run          2 counter adds (pass runs executed + skipped)
+  //   search candidate      1 trace-scope adoption (the batch's span)
   obs::set_profiling_enabled(false);
   obs::Tracer::set_enabled(false);
   const obs::RegistrySnapshot before = obs::Registry::instance().snapshot();
@@ -145,6 +146,8 @@ int main(int argc, char** argv) {
                                      seq_hits + 2 * pipelines;
   const std::uint64_t timer_events = inv + pc_misses + sims;
   const std::uint64_t span_events = sims;
+  // Every evaluation here is a random-search candidate.
+  const std::uint64_t scope_events = sims + eval_hits;
 
   // Disabled per-event costs, microbenched on this machine right now.
   obs::Registry micro;
@@ -155,10 +158,13 @@ int main(int argc, char** argv) {
   const double timer_ns =
       ns_per_call(iters, [&] { obs::ScopedTimerUs t(mh); });
   const double span_ns = ns_per_call(iters, [&] { obs::Span s("micro"); });
+  const double scope_ns = ns_per_call(
+      iters, [&] { obs::TraceScope s(obs::Tracer::current()); });
 
   const double projected_ns = static_cast<double>(counter_adds) * counter_ns +
                               static_cast<double>(timer_events) * timer_ns +
-                              static_cast<double>(span_events) * span_ns;
+                              static_cast<double>(span_events) * span_ns +
+                              static_cast<double>(scope_events) * scope_ns;
   const double projected_pct = projected_ns / (unit_secs * 1e9) * 100.0;
   const bool gate_ok = projected_pct < 1.0;
 
@@ -184,13 +190,15 @@ int main(int argc, char** argv) {
               reps, suite.size());
   std::printf("event census per workload unit (%.3fs disabled):\n",
               unit_secs);
-  std::printf("  %llu counter adds, %llu timers, %llu spans\n",
+  std::printf("  %llu counter adds, %llu timers, %llu spans, %llu trace "
+              "scopes\n",
               static_cast<unsigned long long>(counter_adds),
               static_cast<unsigned long long>(timer_events),
-              static_cast<unsigned long long>(span_events));
+              static_cast<unsigned long long>(span_events),
+              static_cast<unsigned long long>(scope_events));
   std::printf("disabled per-event cost: counter %.2fns, timer %.2fns, "
-              "span %.2fns\n",
-              counter_ns, timer_ns, span_ns);
+              "span %.2fns, trace scope %.2fns\n",
+              counter_ns, timer_ns, span_ns, scope_ns);
   std::printf("projected disabled-mode overhead: %.4f%% (gate: <1%%): %s\n",
               projected_pct, gate_ok ? "PASS" : "FAIL");
   std::printf("measured runtimes: disabled %.3fs, metrics %.3fs (%+.2f%%), "
@@ -206,9 +214,11 @@ int main(int argc, char** argv) {
             .integer("counter_adds", counter_adds)
             .integer("timer_events", timer_events)
             .integer("span_events", span_events)
+            .integer("scope_events", scope_events)
             .number("counter_add_ns", counter_ns)
             .number("disabled_timer_ns", timer_ns)
             .number("disabled_span_ns", span_ns)
+            .number("disabled_scope_ns", scope_ns)
             .number("workload_secs_disabled", unit_secs)
             .number("projected_disabled_overhead_pct", projected_pct)
             .number("measured_disabled_secs", modes[0].secs)

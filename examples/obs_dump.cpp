@@ -24,6 +24,7 @@
 #include "search/evaluator.hpp"
 #include "search/strategies.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace ilc;
@@ -35,8 +36,9 @@ void run_searches(const char* program, unsigned budget) {
   search::Evaluator eval(w.module, sim::amd_like());
   search::SequenceSpace space;
   support::Rng rng(2008);
+  support::ThreadPool helper(1);  // with the calling thread, two workers
   search::random_search(eval, space, rng, budget, search::Objective::Cycles,
-                        /*workers=*/2);
+                        &helper);
   search::GaParams ga;
   ga.workers = 2;
   search::genetic_search(eval, space, rng, budget, search::Objective::Cycles,

@@ -190,9 +190,11 @@ SearchTrace genetic_search(Evaluator& eval, const SequenceSpace& space,
   const bool pareto = obj == Objective::Pareto;
 
   PrefixStates states;
+  // The calling thread scores too, so the run's pool holds the other
+  // workers - 1 threads.
   std::unique_ptr<support::ThreadPool> pool;
   if (params.workers > 1)
-    pool = std::make_unique<support::ThreadPool>(params.workers);
+    pool = std::make_unique<support::ThreadPool>(params.workers - 1);
 
   // Score inds[first, first+count) concurrently, then commit the results
   // in index order — the same order the sequential GA records them.

@@ -1,11 +1,11 @@
 #include "search/strategies.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "search/seedbank.hpp"
 #include "support/assert.hpp"
 #include "support/thread_pool.hpp"
@@ -22,21 +22,20 @@ obs::Counter& c_estimator_skipped() {
 
 /// Evaluate a pre-sampled candidate batch and commit it to the trace in
 /// submission order. The evaluation itself consumes no RNG, so fanning it
-/// out over the pool cannot perturb a fixed-seed run.
+/// out over the pool cannot perturb a fixed-seed run. Every iteration runs
+/// under the caller's current span, so a candidate's spans join the
+/// caller's trace whichever thread simulates it.
 void eval_batch(Evaluator& eval, const std::vector<std::vector<opt::PassId>>& seqs,
                 Objective obj, support::ThreadPool* pool, SearchTrace& trace) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> metrics(seqs.size());
+  const obs::SpanContext caller = obs::Tracer::current();
   support::parallel_for(pool, 0, seqs.size(), [&](std::size_t i) {
+    obs::TraceScope scope(caller);
     const EvalResult r = eval.eval_sequence(seqs[i]);
     metrics[i] = {r.cycles, r.code_size};
   });
   for (std::size_t i = 0; i < seqs.size(); ++i)
     trace.record(seqs[i], metrics[i].first, metrics[i].second, obj);
-}
-
-std::unique_ptr<support::ThreadPool> make_pool(unsigned workers) {
-  if (workers <= 1) return nullptr;
-  return std::make_unique<support::ThreadPool>(workers);
 }
 
 /// Keep the `want` candidates with the lowest predicted metric, in their
@@ -83,18 +82,18 @@ void SearchTrace::record(const std::vector<opt::PassId>& seq,
 
 SearchTrace random_search(Evaluator& eval, const SequenceSpace& space,
                           support::Rng& rng, unsigned budget, Objective obj,
-                          unsigned workers) {
+                          support::ThreadPool* pool) {
   SearchTrace trace;
   std::vector<std::vector<opt::PassId>> seqs(budget);
   for (auto& seq : seqs) seq = space.sample(rng);
-  eval_batch(eval, seqs, obj, make_pool(workers).get(), trace);
+  eval_batch(eval, seqs, obj, pool, trace);
   return trace;
 }
 
 SearchTrace seeded_random_search(Evaluator& eval, const SequenceSpace& space,
                                  const Seeding& seeding, support::Rng& rng,
                                  unsigned budget, Objective obj,
-                                 unsigned workers) {
+                                 support::ThreadPool* pool) {
   SearchTrace trace;
   std::vector<std::vector<opt::PassId>> seqs;
   seqs.reserve(budget);
@@ -111,17 +110,17 @@ SearchTrace seeded_random_search(Evaluator& eval, const SequenceSpace& space,
     if (filter) cands = prefilter(cands, *seeding.estimator, tail);
     for (auto& seq : cands) seqs.push_back(std::move(seq));
   }
-  eval_batch(eval, seqs, obj, make_pool(workers).get(), trace);
+  eval_batch(eval, seqs, obj, pool, trace);
   return trace;
 }
 
 SearchTrace generator_search(
     Evaluator& eval, const std::function<std::vector<opt::PassId>()>& gen,
-    unsigned budget, Objective obj, unsigned workers) {
+    unsigned budget, Objective obj, support::ThreadPool* pool) {
   SearchTrace trace;
   std::vector<std::vector<opt::PassId>> seqs(budget);
   for (auto& seq : seqs) seq = gen();
-  eval_batch(eval, seqs, obj, make_pool(workers).get(), trace);
+  eval_batch(eval, seqs, obj, pool, trace);
   return trace;
 }
 

@@ -5,14 +5,17 @@
 // Fig. 3/4 setting space).
 //
 // Parallel evaluation: strategies that evaluate independent candidate
-// batches (random, generator-driven, genetic) accept a worker count and
-// fan the batch out over a support::ThreadPool. Candidates are *sampled*
-// sequentially — the RNG is only ever consumed on the calling thread, in
-// the same order as the sequential implementation — and results are
-// committed to the SearchTrace in submission order, so a fixed-seed run
-// produces a bit-identical trace at any worker count (see DESIGN.md, "The
-// evaluation hot path"). Greedy search is inherently serial (each step
-// depends on the last result) and takes no worker count.
+// batches fan the batch out with support::parallel_for. Random,
+// seeded-random and generator-driven search take a caller-owned
+// support::ThreadPool (null runs the batch inline), which concurrent
+// searches may share; the genetic search builds a pool per run from
+// GaParams::workers. Candidates are *sampled* sequentially — the RNG is
+// only ever consumed on the calling thread, in the same order as the
+// sequential implementation — and results are committed to the
+// SearchTrace in submission order, so a fixed-seed run produces a
+// bit-identical trace at any pool size (see DESIGN.md, "The evaluation hot
+// path"). Greedy search is inherently serial (each step depends on the
+// last result) and takes no pool.
 //
 // Prefix reuse: each genetic_search call owns a PrefixStates
 // (search/prefix_states.hpp) for its length, shares it among its workers,
@@ -33,6 +36,10 @@
 #include "search/pareto.hpp"
 #include "search/space.hpp"
 #include "support/rng.hpp"
+
+namespace ilc::support {
+class ThreadPool;  // support/thread_pool.hpp
+}
 
 namespace ilc::search {
 
@@ -73,22 +80,23 @@ struct Seeding {
   unsigned oversample = 4;
 };
 
-/// Evaluate `budget` uniform random sequences.
+/// Evaluate `budget` uniform random sequences, on the calling thread plus
+/// helpers from `pool` when one is given.
 SearchTrace random_search(Evaluator& eval, const SequenceSpace& space,
                           support::Rng& rng, unsigned budget,
                           Objective obj = Objective::Cycles,
-                          unsigned workers = 1);
+                          support::ThreadPool* pool = nullptr);
 
 /// Random search warm-started from a SeedBank cluster: the seeds are
 /// evaluated first, then the remaining budget is filled with uniform
 /// samples — oversampled and pre-filtered by the estimator when one is
 /// provided. Candidate sampling and filtering happen on the calling
-/// thread, so fixed-seed traces are bit-identical at any worker count.
+/// thread, so fixed-seed traces are bit-identical at any pool size.
 SearchTrace seeded_random_search(Evaluator& eval, const SequenceSpace& space,
                                  const Seeding& seeding, support::Rng& rng,
                                  unsigned budget,
                                  Objective obj = Objective::Cycles,
-                                 unsigned workers = 1);
+                                 support::ThreadPool* pool = nullptr);
 
 /// Hill-climbing: mutate the best-so-far sequence one position at a time,
 /// restarting from a random point when stuck.
@@ -98,19 +106,20 @@ SearchTrace greedy_search(Evaluator& eval, const SequenceSpace& space,
 
 /// Search driven by a sequence generator (used by the FOCUSSED model).
 /// All `budget` candidates are drawn from `gen` up front, on the calling
-/// thread, then evaluated (in parallel when workers > 1) — so a stateful
-/// generator sees exactly the sequential call pattern.
+/// thread, then evaluated (with helpers from `pool` when one is given) —
+/// so a stateful generator sees exactly the sequential call pattern.
 SearchTrace generator_search(
     Evaluator& eval, const std::function<std::vector<opt::PassId>()>& gen,
     unsigned budget, Objective obj = Objective::Cycles,
-    unsigned workers = 1);
+    support::ThreadPool* pool = nullptr);
 
 struct GaParams {
   unsigned population = 20;
   double mutation_rate = 0.1;
   unsigned elites = 2;
-  /// Evaluation fan-out per generation; breeding stays sequential, so the
-  /// trace is identical at any value.
+  /// Threads that score each generation, the calling thread included (the
+  /// run's pool holds `workers - 1` helpers); breeding stays sequential,
+  /// so the trace is identical at any value.
   unsigned workers = 1;
   /// Cluster-best sequences injected into the initial population (invalid
   /// or wrong-length seeds are replaced by uniform samples).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 
 #include "support/assert.hpp"
 
@@ -62,37 +63,74 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// One parallel_for call, shared with its helper jobs. A helper job may run
+/// after the call returned (it waited in the queue behind other work), so it
+/// holds this state by shared_ptr. `fn` refers into the caller's frame and
+/// is called only for a claimed index, while the caller still waits.
+struct Batch {
+  Batch(std::size_t begin, std::size_t end,
+        const std::function<void(std::size_t)>& fn)
+      : next(begin), end(end), fn(fn) {}
+
+  /// Run index `i` and every later one this thread claims. Pool threads
+  /// have no handler of their own, so each iteration catches its
+  /// exception; the first one resurfaces after the batch.
+  void run_from(std::size_t i) {
+    for (; i < end; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+  }
+
+  /// A helper job's body. Its first claim and its count as "at work" move
+  /// together under `mu`, where the caller waits: once the caller has
+  /// claimed past the end, a helper either counts already or claims
+  /// nothing.
+  void help() {
+    std::unique_lock<std::mutex> lock(mu);
+    const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= end) return;
+    ++helpers_at_work;
+    lock.unlock();
+    run_from(i);
+    lock.lock();
+    if (--helpers_at_work == 0) done.notify_all();
+  }
+
+  std::atomic<std::size_t> next;
+  const std::size_t end;
+  const std::function<void(std::size_t)>& fn;
+  std::mutex mu;
+  std::condition_variable done;
+  std::size_t helpers_at_work = 0;  // guarded by mu
+  std::exception_ptr first_error;   // guarded by mu
+};
+
+}  // namespace
+
 void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
-  const std::size_t threads =
-      pool == nullptr ? 1 : std::min(pool->size(), end - begin);
-  if (threads <= 1) {
+  if (pool == nullptr || end - begin == 1) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
-  // Pool workers have no handler of their own, so each iteration catches
-  // its exception; the first one resurfaces after the batch.
-  std::atomic<std::size_t> next{begin};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  const auto body = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-  for (std::size_t t = 1; t < threads; ++t) pool->submit([&body] { body(); });
-  body();
-  pool->wait_idle();
-  if (first_error) std::rethrow_exception(first_error);
+  const auto batch = std::make_shared<Batch>(begin, end, fn);
+  const std::size_t helpers = std::min(pool->size(), end - begin - 1);
+  for (std::size_t t = 0; t < helpers; ++t)
+    pool->submit([batch] { batch->help(); });
+  batch->run_from(batch->next.fetch_add(1, std::memory_order_relaxed));
+
+  std::unique_lock<std::mutex> lock(batch->mu);
+  batch->done.wait(lock, [&] { return batch->helpers_at_work == 0; });
+  if (batch->first_error) std::rethrow_exception(batch->first_error);
 }
 
 }  // namespace ilc::support

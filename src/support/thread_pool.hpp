@@ -1,10 +1,12 @@
 // Minimal work-stealing-free thread pool with a parallel_for helper.
 //
-// The simulator itself is single-threaded and deterministic; parallelism in
-// this project lives entirely in the experiment harnesses, which evaluate
-// many independent (sequence, program) pairs. parallel_for spreads an
-// index range over a caller-owned pool plus the calling thread; with a
-// single worker it degrades to an inline loop, so results never depend on
+// The simulator itself is single-threaded and deterministic; parallelism
+// comes from evaluating many independent (sequence, program) pairs at
+// once. parallel_for spreads an index range over the calling thread plus
+// helper jobs on a caller-owned pool. Each call has its own barrier, so
+// several searches can share one pool: the tuning service keeps one
+// evaluation pool for its lifetime, and a genetic search builds one per
+// run. With no pool it degrades to an inline loop; results never depend on
 // the thread count.
 #pragma once
 
@@ -48,13 +50,15 @@ class ThreadPool {
 };
 
 /// Apply fn(i) for i in [begin, end), fn safe to call concurrently for
-/// distinct i. Indices come from a shared counter; the caller takes part,
-/// and at most pool->size() threads run iterations, so repeated batches
-/// (one per GA generation) reuse warm workers. The first exception thrown,
-/// by the caller's iterations or a worker's, is rethrown after every
-/// iteration has finished. A null pool, a one-worker pool or a one-index
-/// range runs the loop inline, where an exception ends it at once. The
-/// pool must carry no other jobs: wait_idle() is the batch barrier.
+/// distinct i. The caller takes part, helped by at most pool->size()
+/// helper jobs on the pool; indices come from a counter the call shares
+/// with its helpers. The call returns once every index has run: it waits
+/// for the helpers that claimed one, never for the pool's other jobs, so
+/// concurrent calls may share a pool. A helper that starts after its batch
+/// ended claims nothing and never touches fn. The first exception thrown,
+/// by the caller's iterations or a helper's, is rethrown after every
+/// iteration has finished. A null pool or a one-index range runs the loop
+/// inline, where an exception ends it at once.
 void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "features/features.hpp"
 #include "ir/fingerprint.hpp"
@@ -389,16 +390,18 @@ TuningResponse TuningService::execute(const Job& job) {
       if (seeded)
         trace = search::seeded_random_search(*eval, space, seeding, rng,
                                              req.budget, req.objective,
-                                             opts_.search_workers);
+                                             eval_pool());
       else
         trace = search::random_search(*eval, space, rng, req.budget,
-                                      req.objective, opts_.search_workers);
+                                      req.objective, eval_pool());
       break;
     case Strategy::Greedy:
       trace = search::greedy_search(*eval, space, rng, req.budget,
                                     req.objective);
       break;
     case Strategy::Genetic: {
+      // The GA keeps its own per-run pool sized by search_workers rather
+      // than the evaluation pool (DESIGN.md, "Tuning service").
       search::GaParams ga;
       ga.workers = opts_.search_workers;
       if (seeded) {
@@ -440,6 +443,16 @@ TuningResponse TuningService::execute(const Job& job) {
   }
   span.annotate("simulations", std::to_string(r.simulations));
   return r;
+}
+
+support::ThreadPool* TuningService::eval_pool() {
+  std::call_once(eval_pool_once_, [this] {
+    // Never ThreadPool(0): that would start hardware_concurrency() threads.
+    const std::size_t cores = std::thread::hardware_concurrency();
+    if (cores > pool_.size())
+      eval_pool_ = std::make_unique<support::ThreadPool>(cores - pool_.size());
+  });
+  return eval_pool_.get();
 }
 
 std::shared_ptr<search::Evaluator> TuningService::evaluator_for(

@@ -9,7 +9,9 @@
 // the same store answers repeat queries with zero simulations, or an
 // in-memory store when no path is given. A replication follower answers
 // from its replicated store instead (Options::follower_store) and never
-// searches.
+// searches. A random search runs on its request worker plus the service's
+// evaluation pool, which holds one thread per core the request workers
+// leave idle.
 //
 // Request lifecycle — the service's guarantee is that **every submitted
 // request resolves exactly once, in bounded time, on every path**:
@@ -57,9 +59,10 @@ class TuningService {
  public:
   struct Options {
     std::size_t workers = 2;
-    /// Evaluation fan-out *within* one search (random/genetic candidate
-    /// batches). Distinct from `workers`, which is how many requests run
-    /// at once. Search results are deterministic at any value.
+    /// Threads that score one genetic search's generations, its request
+    /// worker included. Random searches do not read it: they share the
+    /// service's evaluation pool (see eval_pool_). Search results are
+    /// deterministic at any value.
     unsigned search_workers = 1;
     /// Location of the persistent KB store (a kbstore directory, created
     /// on first use). A file here refuses to start: a CSV knowledge base
@@ -185,6 +188,10 @@ class TuningService {
   void count_resolved(const TuningResponse& r);
   void run_one();
   TuningResponse execute(const Job& job);
+  /// The evaluation pool, started by the first random search: a service
+  /// that never runs one (a follower, a GA-only or warm-only service)
+  /// starts no helper threads. Null when the request workers fill the host.
+  support::ThreadPool* eval_pool();
   /// Fetch-or-create the job's evaluator, bumping it in the LRU order and
   /// evicting beyond Options::evaluator_cache. Takes mu_.
   std::shared_ptr<search::Evaluator> evaluator_for(const Job& job);
@@ -241,6 +248,14 @@ class TuningService {
   const obs::Gauge in_flight_ = reg_.gauge("svc.in_flight");
   const obs::Histogram latency_us_ = reg_.histogram("svc.latency_us");
 
+  /// Helpers for random searches, shared by every request for the
+  /// service's lifetime: one thread per hardware thread the request pool
+  /// leaves idle, none when it leaves none. A request's search runs on its
+  /// own worker plus whichever helpers are free, so concurrent searches
+  /// split the spare cores between them. Declared before pool_, so it
+  /// outlives the requests that use it.
+  std::once_flag eval_pool_once_;
+  std::unique_ptr<support::ThreadPool> eval_pool_;
   // Destroyed first (reverse member order): the pool drains its queue on
   // destruction, and its jobs touch every field above.
   support::ThreadPool pool_;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,6 +33,13 @@
 namespace {
 
 using namespace ilc;
+
+/// Helpers for a search at `workers` total threads, the caller included;
+/// none at one worker.
+std::unique_ptr<support::ThreadPool> helpers_for(unsigned workers) {
+  if (workers <= 1) return nullptr;
+  return std::make_unique<support::ThreadPool>(workers - 1);
+}
 
 search::Evaluator make_eval(const std::string& name = "dotprod") {
   return search::Evaluator(wl::make_workload(name).module, sim::amd_like());
@@ -73,8 +81,9 @@ TEST(ParallelSearch, RandomTraceBitIdenticalAcrossWorkerCounts) {
 
   search::Evaluator eval = make_eval();
   support::Rng rng(7);
+  const auto pool = helpers_for(4);
   const search::SearchTrace trace = search::random_search(
-      eval, space, rng, 30, search::Objective::Cycles, /*workers=*/4);
+      eval, space, rng, 30, search::Objective::Cycles, pool.get());
   expect_same_trace(trace, reference);
 }
 
@@ -93,9 +102,10 @@ TEST(ParallelSearch, GeneratorSearchDrawsCandidatesSequentially) {
 
   search::Evaluator eval = make_eval();
   support::Rng rng(99);
+  const auto pool = helpers_for(4);
   const search::SearchTrace trace =
       search::generator_search(eval, make_gen(rng), 25,
-                               search::Objective::Cycles, /*workers=*/4);
+                               search::Objective::Cycles, pool.get());
   expect_same_trace(trace, reference);
 }
 
@@ -175,8 +185,10 @@ TEST(ParallelSearch, SeededRandomTraceBitIdenticalAcrossWorkerCounts) {
   auto run = [&](unsigned workers) {
     search::Evaluator eval = make_eval();
     support::Rng rng(7);
+    const auto pool = helpers_for(workers);
     return search::seeded_random_search(eval, space, seeding, rng, 30,
-                                        search::Objective::Cycles, workers);
+                                        search::Objective::Cycles,
+                                        pool.get());
   };
   const search::SearchTrace reference = run(1);
   expect_same_trace(run(4), reference);
@@ -279,7 +291,8 @@ search::SearchTrace fixed_seed_search(bool genetic, unsigned workers,
     return search::genetic_search(eval, space, rng, 120, obj, params);
   }
   support::Rng rng(7);
-  return search::random_search(eval, space, rng, 60, obj, workers);
+  const auto pool = helpers_for(workers);
+  return search::random_search(eval, space, rng, 60, obj, pool.get());
 }
 
 struct MemoRun {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -184,7 +185,73 @@ TEST(ParallelFor, CallerTakesPartOnAtMostPoolSizeThreads) {
   });
   EXPECT_TRUE(caller_ran);
   EXPECT_EQ(ids.count(caller), 1u);
-  EXPECT_LE(ids.size(), pool.size());
+  // Every pool thread is a helper: the caller plus at most pool.size().
+  EXPECT_LE(ids.size(), pool.size() + 1);
+}
+
+/// Spin until `flag` is set or `limit` has passed; true when it was set.
+bool wait_for_flag(const std::atomic<bool>& flag,
+                   std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!flag) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ParallelFor, SharedPoolBatchDoesNotWaitForAnotherBatch) {
+  // Two batches share one pool. The slow batch parks one item on a pool
+  // thread; the quick batch must return while that item still runs. A
+  // pool-wide barrier would hold it until the item gives up (~2 s).
+  ThreadPool pool(2);
+  std::atomic<bool> slow_started{false}, release{false}, slow_done{false};
+  std::thread slow([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    parallel_for(&pool, 0, 2, [&](std::size_t) {
+      if (std::this_thread::get_id() == self) {
+        // Hold this index until a helper has the other one.
+        wait_for_flag(slow_started, std::chrono::seconds(2));
+        return;
+      }
+      slow_started = true;
+      wait_for_flag(release, std::chrono::seconds(2));
+      slow_done = true;
+    });
+  });
+  ASSERT_TRUE(wait_for_flag(slow_started, std::chrono::seconds(2)));
+
+  std::atomic<int> quick{0};
+  parallel_for(&pool, 0, 8, [&](std::size_t) { ++quick; });
+  EXPECT_EQ(quick.load(), 8);
+  EXPECT_FALSE(slow_done) << "the quick batch waited for the other batch";
+  release = true;
+  slow.join();
+  EXPECT_TRUE(slow_done);
+}
+
+TEST(ParallelFor, LateHelperClaimsNothing) {
+  // The pool's one thread is busy, so the batch's helper job waits in the
+  // queue; the caller runs every index and returns without it. When the
+  // helper finally starts, fn has gone out of scope: it must not run.
+  ThreadPool pool(1);
+  std::atomic<bool> unblock{false};
+  pool.submit([&] { wait_for_flag(unblock, std::chrono::seconds(5)); });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> calls{0};
+  std::atomic<int> off_caller{0};
+  {
+    const std::function<void(std::size_t)> fn = [&](std::size_t) {
+      ++calls;
+      if (std::this_thread::get_id() != caller) ++off_caller;
+    };
+    parallel_for(&pool, 0, 4, fn);
+  }
+  EXPECT_EQ(calls.load(), 4);
+  unblock = true;
+  pool.wait_idle();  // the late helper has run by now
+  EXPECT_EQ(calls.load(), 4);
+  EXPECT_EQ(off_caller.load(), 0);
 }
 
 TEST(ThreadPool, WaitIdleWithNoSubmittedJobsReturnsImmediately) {
@@ -211,31 +278,63 @@ TEST(ThreadPool, SingleThreadPoolRunsEveryJob) {
 }
 
 TEST(ParallelFor, SingleThreadDegradesToInlineLoop) {
-  // A one-worker pool (the hardware_concurrency()==1 configuration) and
-  // no pool at all both run the iterations on the calling thread, in
-  // order.
+  // No pool at all, and a one-index range on any pool, run the iterations
+  // on the calling thread, in order.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(nullptr, 3, 9, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8}));
   ThreadPool pool(1);
-  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
-    const std::thread::id caller = std::this_thread::get_id();
-    std::vector<std::size_t> order;
-    parallel_for(p, 3, 9, [&](std::size_t i) {
-      EXPECT_EQ(std::this_thread::get_id(), caller);
-      order.push_back(i);
-    });
-    EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8}));
-  }
+  order.clear();
+  parallel_for(&pool, 3, 4, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{3}));
+
+  // A one-thread pool is one helper: the caller holds its first index
+  // until the pool thread has run one too.
+  std::atomic<bool> helper_ran{false};
+  bool caller_waited = false;  // only the caller's thread touches it
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(&pool, 0, 16, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      helper_ran = true;
+    } else if (!caller_waited) {
+      caller_waited = true;
+      wait_for_flag(helper_ran, std::chrono::seconds(5));
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_TRUE(helper_ran);
+  EXPECT_EQ(ids.size(), 2u);
 }
 
 TEST(ParallelFor, SingleThreadPropagatesExceptionInline) {
-  ThreadPool pool(1);
+  // The inline loops (no pool; a one-index range) stop at the throwing
+  // iteration.
   int ran = 0;
-  EXPECT_THROW(parallel_for(&pool, 0, 4,
+  EXPECT_THROW(parallel_for(nullptr, 0, 4,
                             [&](std::size_t i) {
                               ++ran;
                               if (i == 1) throw std::runtime_error("inline");
                             }),
                std::runtime_error);
-  EXPECT_EQ(ran, 2);  // inline loop stops at the throwing iteration
+  EXPECT_EQ(ran, 2);
+  ThreadPool pool(1);
+  ran = 0;
+  EXPECT_THROW(parallel_for(&pool, 7, 8,
+                            [&](std::size_t) {
+                              ++ran;
+                              throw std::runtime_error("inline");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(ran, 1);
 }
 
 TEST(ParallelFor, ExceptionDoesNotPoisonLaterIterations) {

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <future>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -72,7 +73,8 @@ TEST(Svc, AnswersWithValidConfigAndMetrics) {
 }
 
 // Responses are deterministic in the request alone: fanning evaluation
-// out over search workers must not change what a search finds.
+// out over search workers or the evaluation pool must not change what a
+// search finds.
 TEST(Svc, SearchWorkersDoNotChangeResults) {
   auto genetic_request = [] {
     svc::TuningRequest req = request("rle", 30);
@@ -88,6 +90,44 @@ TEST(Svc, SearchWorkersDoNotChangeResults) {
   EXPECT_EQ(a.config, b.config);
   EXPECT_EQ(a.best_metric, b.best_metric);
   EXPECT_EQ(a.baseline_metric, b.baseline_metric);
+
+  // A random search spreads over the evaluation pool, one helper per
+  // hardware thread the request workers leave idle. Workers that fill the
+  // host leave no pool; one worker leaves helpers, whose simulations join
+  // the request's trace.
+  const std::size_t cores = std::thread::hardware_concurrency();
+  if (cores < 2) GTEST_SKIP() << "an evaluation pool needs 2 hardware threads";
+  auto random_request = [] {
+    svc::TuningRequest req = request("rle", 30);
+    req.strategy = svc::Strategy::Random;
+    return req;
+  };
+  svc::TuningService no_pool({.workers = cores});
+  const svc::TuningResponse c = no_pool.tune(random_request());
+  obs::Tracer::set_enabled(true);
+  obs::Tracer::clear();
+  svc::TuningService pooled({.workers = 1});
+  const svc::TuningResponse d = pooled.tune(random_request());
+  obs::Tracer::set_enabled(false);
+  const std::vector<obs::SpanRecord> recs = obs::Tracer::records();
+  obs::Tracer::clear();
+  ASSERT_TRUE(c.ok) << c.error;
+  ASSERT_TRUE(d.ok) << d.error;
+  EXPECT_EQ(c.config, d.config);
+  EXPECT_EQ(c.best_metric, d.best_metric);
+  EXPECT_EQ(c.baseline_metric, d.baseline_metric);
+
+  std::uint64_t trace_id = 0;
+  for (const obs::SpanRecord& rec : recs)
+    if (rec.name == "svc.submit") trace_id = rec.trace_id;
+  ASSERT_NE(trace_id, 0u);
+  std::set<std::uint32_t> threads;
+  for (const obs::SpanRecord& rec : recs) {
+    if (rec.name != "search.simulate") continue;
+    EXPECT_EQ(rec.trace_id, trace_id);
+    threads.insert(rec.tid);
+  }
+  EXPECT_GT(threads.size(), 1u) << "every simulation ran on one thread";
 }
 
 // A Pareto request reports the archive — a non-empty front and its
