@@ -1,9 +1,9 @@
 // Genetic-search wall-clock at 1, 2, and 4 evaluation workers on the
 // Fig. 2 target (adpcm). Every width re-runs the identical fixed-seed GA
-// from a cold evaluator and program cache; the bench fails unless each
-// parallel trace is bit-identical to the sequential one (same best_so_far
-// curve, best sequence, and best metric) and simulated the same number of
-// distinct programs — speed is only admissible if determinism held.
+// from a cold evaluator; the bench fails unless each parallel trace is
+// bit-identical to the sequential one (same best_so_far curve, best
+// sequence, and best metric) and simulated the same number of distinct
+// programs — speed is only admissible if determinism held.
 // Speedups are bounded by the host's core count, which is recorded
 // alongside the numbers.
 //
@@ -44,7 +44,6 @@
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
 #include "search/strategies.hpp"
-#include "sim/program_cache.hpp"
 #include "support/table.hpp"
 #include "workloads/workloads.hpp"
 
@@ -66,10 +65,8 @@ struct Run {
 
 Run run_ga(const ir::Module& mod, unsigned budget, std::uint64_t seed,
            unsigned workers) {
-  // Cold start per width: a fresh evaluator (empty memo cache) and an
-  // empty decoded-program cache, so no width inherits the previous one's
-  // work.
-  sim::ProgramCache::instance().clear();
+  // Cold start per width: a fresh evaluator (empty memo cache), so no
+  // width inherits the previous one's work.
   search::Evaluator eval(mod, sim::amd_like());
   support::Rng rng(seed);
   search::SequenceSpace space;

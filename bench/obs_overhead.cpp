@@ -34,7 +34,6 @@
 #include "search/evaluator.hpp"
 #include "search/strategies.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/program_cache.hpp"
 #include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -103,15 +102,15 @@ int main(int argc, char** argv) {
       {"traced", true, true},
   };
 
-  // Warm-up (untimed): populate the program cache's decodings and fault
-  // in every code path so the first timed rep is not paying one-time costs.
+  // Warm-up (untimed): fault in every code path so the first timed rep is
+  // not paying one-time costs.
   run_workload(suite, 1);
 
   // Event census: registry deltas over one disabled-mode workload unit.
   // Multiplicities per call site (fixed by the instrumentation code):
   //   Simulator::call       1 timer + 5 counter adds
   //   initial image build   1 counter add (image builds)
-  //   ProgramCache::get     1 counter add (+1 timer on miss)
+  //   decode_program        1 timer
   //   Evaluator::simulate   1 span + 1 timer + 1 counter add
   //   fingerprint memo hit  1 counter add
   //   sequence index hit    2 counter adds (eval cache + seq memo)
@@ -126,10 +125,10 @@ int main(int argc, char** argv) {
   const obs::RegistrySnapshot after = obs::Registry::instance().snapshot();
 
   const std::uint64_t inv = counter_delta(before, after, "sim.invocations");
-  const std::uint64_t pc_hits =
-      counter_delta(before, after, "sim.program_cache.hits");
-  const std::uint64_t pc_misses =
-      counter_delta(before, after, "sim.program_cache.misses");
+  // Every simulator here, a suite program's or an evaluator's restarted
+  // one, makes one engine call on a module it has not decoded: one decode
+  // per invocation. (sim.decode_us cannot count them with profiling off.)
+  const std::uint64_t decodes = inv;
   const std::uint64_t sims =
       counter_delta(before, after, "search.simulations");
   const std::uint64_t eval_hits =
@@ -141,10 +140,9 @@ int main(int argc, char** argv) {
   // Every evaluation that missed the sequence index ran a pipeline.
   const std::uint64_t pipelines = sims + eval_hits - seq_hits;
 
-  const std::uint64_t counter_adds = 5 * inv + image_builds + pc_hits +
-                                     pc_misses + 2 * sims + eval_hits +
-                                     seq_hits + 2 * pipelines;
-  const std::uint64_t timer_events = inv + pc_misses + sims;
+  const std::uint64_t counter_adds = 5 * inv + image_builds + 2 * sims +
+                                     eval_hits + seq_hits + 2 * pipelines;
+  const std::uint64_t timer_events = inv + decodes + sims;
   const std::uint64_t span_events = sims;
   // Every evaluation here is a random-search candidate.
   const std::uint64_t scope_events = sims + eval_hits;

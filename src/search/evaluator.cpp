@@ -8,7 +8,6 @@
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "search/prefix_states.hpp"
-#include "sim/program_cache.hpp"
 
 namespace ilc::search {
 
@@ -60,18 +59,12 @@ ir::Module Evaluator::optimized(const std::vector<opt::PassId>& seq) const {
   return m;
 }
 
-EvalResult Evaluator::simulate(const ir::Module& optimized_mod,
-                               std::uint64_t fp) {
-  // Decoded programs are shared process-wide: repeat evaluations of the
-  // same optimized code (GA elites, svc warm paths) skip re-decoding. The
-  // known fingerprint is passed through to avoid a second hash of the
-  // module.
+EvalResult Evaluator::simulate(const ir::Module& optimized_mod) {
+  // The simulator decodes the module on this run: with the memo on, once
+  // per fingerprint.
   obs::Span span("search.simulate");
   obs::ScopedTimerUs timer(h_simulate_us());
-  const sim::RunResult rr =
-      thread_simulator(optimized_mod,
-                       sim::ProgramCache::instance().get(optimized_mod, fp))
-          .run();
+  const sim::RunResult rr = thread_simulator(optimized_mod).run();
   EvalResult res;
   res.cycles = rr.cycles;
   res.code_size = optimized_mod.code_size();
@@ -82,8 +75,7 @@ EvalResult Evaluator::simulate(const ir::Module& optimized_mod,
   return res;
 }
 
-sim::Simulator& Evaluator::thread_simulator(
-    const ir::Module& mod, std::shared_ptr<const sim::DecodedProgram> decoded) {
+sim::Simulator& Evaluator::thread_simulator(const ir::Module& mod) {
   struct Slot {
     std::uint64_t evaluator = 0;  // ids start at 1
     unsigned ptr_bytes = 0;
@@ -91,7 +83,7 @@ sim::Simulator& Evaluator::thread_simulator(
   };
   thread_local Slot slot;
   if (slot.sim && slot.evaluator == id_ && slot.ptr_bytes == mod.ptr_bytes()) {
-    slot.sim->restart(mod, std::move(decoded));
+    slot.sim->restart(mod);
     return *slot.sim;
   }
   std::shared_ptr<const ir::MemoryImage> initial;
@@ -103,8 +95,7 @@ sim::Simulator& Evaluator::thread_simulator(
     initial = img;
   }
   slot.sim.reset();  // unmap the old image before mapping the next
-  slot.sim = std::make_unique<sim::Simulator>(mod, cfg_, std::move(initial),
-                                              std::move(decoded));
+  slot.sim = std::make_unique<sim::Simulator>(mod, cfg_, std::move(initial));
   slot.evaluator = id_;
   slot.ptr_bytes = mod.ptr_bytes();
   return *slot.sim;
@@ -138,7 +129,7 @@ const EvalResult& Evaluator::memoized(const ir::Module& optimized_mod,
 
   EvalResult res;
   try {
-    res = simulate(optimized_mod, fp);
+    res = simulate(optimized_mod);
   } catch (...) {
     // Release the claim so a waiting follower can take over (and observe
     // the same trap by re-running), then propagate.
@@ -198,10 +189,7 @@ EvalResult Evaluator::evaluate(const std::vector<opt::PassId>& seq,
   for (std::size_t i = 0; i < seq.size(); ++i)
     key[i] = static_cast<char>(seq[i]);
 
-  if (!cache_enabled_) {
-    const ir::Module& m = materialize(seq, key, nullptr);
-    return simulate(m, ir::fingerprint(m));
-  }
+  if (!cache_enabled_) return simulate(materialize(seq, key, nullptr));
 
   Shard& ks = shard_of(std::hash<std::string>{}(key));
   {

@@ -43,9 +43,11 @@
 // once per pointer width and shares it read-only; each thread keeps one
 // sim::Simulator, keyed by evaluator id and pointer width, and restarts it
 // for every candidate under the same key, which copies back only the
-// bytes the previous run stored. A thread keeps one such simulator at
-// most, so a service that caches many evaluators does not keep an image
-// per evaluator and thread. The id comes from a counter, not the
+// bytes the previous run stored. The simulator decodes the candidate on
+// its run; the memo simulates each fingerprint once, so an evaluator
+// decodes each distinct program once. A thread keeps one such simulator
+// at most, so a service that caches many evaluators does not keep an
+// image per evaluator and thread. The id comes from a counter, not the
 // evaluator's address, which a later evaluator may reuse; it also fixes
 // the machine, which an evaluator never changes.
 #pragma once
@@ -135,10 +137,9 @@ class Evaluator {
   /// The fingerprint memo: the ready entry's result, simulating on a miss.
   const EvalResult& memoized(const ir::Module& optimized_mod,
                              std::uint64_t fp);
-  EvalResult simulate(const ir::Module& optimized_mod, std::uint64_t fp);
+  EvalResult simulate(const ir::Module& optimized_mod);
   /// This thread's simulator, restarted (or built) on `mod`.
-  sim::Simulator& thread_simulator(
-      const ir::Module& mod, std::shared_ptr<const sim::DecodedProgram> decoded);
+  sim::Simulator& thread_simulator(const ir::Module& mod);
   void count_hit();
 
   /// One stripe of both memo levels. A fingerprint entry is inserted

@@ -59,11 +59,6 @@ obs::Gauge& g_ga_last_best() {
       obs::Registry::instance().gauge("search.ga.last_best_metric");
   return g;
 }
-obs::Counter& c_estimator_skipped() {
-  static obs::Counter c =
-      obs::Registry::instance().counter("search.estimator.skipped");
-  return c;
-}
 
 struct Individual {
   std::vector<opt::PassId> genes;
@@ -294,29 +289,16 @@ SearchTrace genetic_search(Evaluator& eval, const SequenceSpace& space,
       return next.size() - elite_count;
     };
     if (params.estimator != nullptr && params.oversample > 1) {
-      // Oversample children, keep the predicted-best subset (stable in
-      // breeding order), charge the rest to the estimator-skip counter.
-      // Prediction is RNG-free, so determinism is untouched.
+      // Oversample children and keep the predicted-best subset, in
+      // breeding order (PerfEstimator::keep_best). Prediction is RNG-free,
+      // so determinism is untouched.
       const std::size_t want =
           params.population > next.size() ? params.population - next.size()
                                           : 0;
-      std::vector<Individual> cands;
-      cands.reserve(want * params.oversample);
-      for (std::size_t i = 0; i < want * params.oversample; ++i)
-        cands.push_back(breed_one());
-      std::vector<std::size_t> idx(cands.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-      std::vector<double> pred(cands.size());
-      for (std::size_t i = 0; i < cands.size(); ++i)
-        pred[i] = params.estimator->predict(cands[i].genes);
-      std::stable_sort(idx.begin(), idx.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return pred[a] < pred[b];
-                       });
-      idx.resize(std::min(want, idx.size()));
-      std::sort(idx.begin(), idx.end());
-      for (std::size_t i : idx) next.push_back(std::move(cands[i]));
-      c_estimator_skipped().add(cands.size() - idx.size());
+      std::vector<std::vector<opt::PassId>> cands(want * params.oversample);
+      for (auto& genes : cands) genes = breed_one().genes;
+      for (const std::size_t i : params.estimator->keep_best(cands, want))
+        next.push_back(Individual{std::move(cands[i])});
     } else {
       // In size_t: a budget near the unsigned maximum must not wrap the
       // bound and stop breeding after one generation.

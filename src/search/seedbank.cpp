@@ -2,15 +2,23 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "ml/kmeans.hpp"
+#include "obs/metrics.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 
 namespace ilc::search {
 
 namespace {
+
+obs::Counter& c_estimator_skipped() {
+  static obs::Counter c =
+      obs::Registry::instance().counter("search.estimator.skipped");
+  return c;
+}
 
 // Seeds each cluster keeps, best first.
 constexpr std::size_t kSeedsPerCluster = 8;
@@ -40,6 +48,23 @@ void PerfEstimator::fit(const std::vector<std::vector<opt::PassId>>& seqs,
 double PerfEstimator::predict(const std::vector<opt::PassId>& seq) const {
   ILC_CHECK(ok_);
   return model_.predict(encode(seq));
+}
+
+std::vector<std::size_t> PerfEstimator::keep_best(
+    const std::vector<std::vector<opt::PassId>>& seqs,
+    std::size_t want) const {
+  std::vector<std::size_t> idx(seqs.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  if (seqs.size() <= want) return idx;
+  std::vector<double> pred(seqs.size());
+  for (std::size_t i = 0; i < seqs.size(); ++i) pred[i] = predict(seqs[i]);
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return pred[a] < pred[b];
+  });
+  idx.resize(want);
+  std::sort(idx.begin(), idx.end());
+  c_estimator_skipped().add(seqs.size() - want);
+  return idx;
 }
 
 std::vector<double> PerfEstimator::encode(

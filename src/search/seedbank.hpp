@@ -40,6 +40,15 @@ class PerfEstimator {
   /// Predicted relative cycles; lower is better. Only valid when ok().
   double predict(const std::vector<opt::PassId>& seq) const;
 
+  /// The prefilter of the seeded searches: indices, ascending, of the
+  /// `want` sequences of `seqs` with the lowest prediction (on a tie the
+  /// earlier one); the others count on `search.estimator.skipped`. Pure
+  /// and RNG-free, so it never perturbs a fixed-seed run. Only valid when
+  /// ok().
+  std::vector<std::size_t> keep_best(
+      const std::vector<std::vector<opt::PassId>>& seqs,
+      std::size_t want) const;
+
   /// Fixed-width sequence encoding (exposed for tests).
   static std::vector<double> encode(const std::vector<opt::PassId>& seq);
 

@@ -1,10 +1,8 @@
 #include "search/strategies.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "search/seedbank.hpp"
 #include "support/assert.hpp"
@@ -13,12 +11,6 @@
 namespace ilc::search {
 
 namespace {
-
-obs::Counter& c_estimator_skipped() {
-  static obs::Counter c =
-      obs::Registry::instance().counter("search.estimator.skipped");
-  return c;
-}
 
 /// Evaluate a pre-sampled candidate batch and commit it to the trace in
 /// submission order. The evaluation itself consumes no RNG, so fanning it
@@ -36,29 +28,6 @@ void eval_batch(Evaluator& eval, const std::vector<std::vector<opt::PassId>>& se
   });
   for (std::size_t i = 0; i < seqs.size(); ++i)
     trace.record(seqs[i], metrics[i].first, metrics[i].second, obj);
-}
-
-/// Keep the `want` candidates with the lowest predicted metric, in their
-/// original (stable) order; count the rest as estimator skips. Pure and
-/// RNG-free, so it never perturbs fixed-seed determinism.
-std::vector<std::vector<opt::PassId>> prefilter(
-    const std::vector<std::vector<opt::PassId>>& cands,
-    const PerfEstimator& est, std::size_t want) {
-  if (cands.size() <= want) return cands;
-  std::vector<std::size_t> idx(cands.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::vector<double> pred(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) pred[i] = est.predict(cands[i]);
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return pred[a] < pred[b];
-  });
-  idx.resize(want);
-  std::sort(idx.begin(), idx.end());  // preserve submission order
-  std::vector<std::vector<opt::PassId>> out;
-  out.reserve(want);
-  for (std::size_t i : idx) out.push_back(cands[i]);
-  c_estimator_skipped().add(cands.size() - want);
-  return out;
 }
 
 }  // namespace
@@ -107,8 +76,12 @@ SearchTrace seeded_random_search(Evaluator& eval, const SequenceSpace& space,
     const std::size_t draw = filter ? tail * seeding.oversample : tail;
     std::vector<std::vector<opt::PassId>> cands(draw);
     for (auto& seq : cands) seq = space.sample(rng);
-    if (filter) cands = prefilter(cands, *seeding.estimator, tail);
-    for (auto& seq : cands) seqs.push_back(std::move(seq));
+    if (filter) {
+      for (const std::size_t i : seeding.estimator->keep_best(cands, tail))
+        seqs.push_back(std::move(cands[i]));
+    } else {
+      for (auto& seq : cands) seqs.push_back(std::move(seq));
+    }
   }
   eval_batch(eval, seqs, obj, pool, trace);
   return trace;

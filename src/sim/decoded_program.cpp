@@ -1,11 +1,19 @@
 #include "sim/decoded_program.hpp"
 
+#include "obs/metrics.hpp"
+#include "obs/timer.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 
 namespace ilc::sim {
 
 namespace {
+
+obs::Histogram& h_decode_us() {
+  static obs::Histogram h =
+      obs::Registry::instance().histogram("sim.decode_us");
+  return h;
+}
 
 DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
                                 ir::FuncId fn_id, std::size_t num_funcs) {
@@ -104,13 +112,14 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
 
 }  // namespace
 
-std::shared_ptr<const DecodedProgram> decode_program(const ir::Module& mod) {
-  auto prog = std::make_shared<DecodedProgram>();
-  prog->funcs.reserve(mod.functions().size());
+DecodedProgram decode_program(const ir::Module& mod) {
+  obs::ScopedTimerUs timer(h_decode_us());
+  DecodedProgram prog;
+  prog.funcs.reserve(mod.functions().size());
   for (ir::FuncId id = 0; id < mod.functions().size(); ++id) {
-    prog->funcs.push_back(decode_function(mod, mod.function(id), id,
-                                          mod.functions().size()));
-    prog->instruction_count += prog->funcs.back().code.size();
+    prog.funcs.push_back(decode_function(mod, mod.function(id), id,
+                                         mod.functions().size()));
+    prog.instruction_count += prog.funcs.back().code.size();
   }
   return prog;
 }

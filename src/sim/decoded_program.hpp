@@ -29,9 +29,8 @@
 //   Call       t1 = callee function id, t2 = CallSite index
 //
 // Decoding depends only on the module's *code* (not its memory image or a
-// machine config), which is what lets a process-wide ProgramCache share
-// decoded programs across Simulators, machines, and repeat evaluations of
-// the same optimized module.
+// machine config). Each Simulator decodes the module it runs and owns the
+// result; nothing shares decodings (DESIGN.md, "Decoding").
 //
 // Invariant: executing the decoded form is bit-identical to the reference
 // walk — same results, same cycle counts, same counters, same branch ids
@@ -41,7 +40,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,7 +107,7 @@ struct DecodedFunction {
 };
 
 /// A whole module's code, decoded. Owns all its data — safe to outlive the
-/// source module (the ProgramCache does).
+/// source module.
 struct DecodedProgram {
   std::vector<DecodedFunction> funcs;
   std::size_t instruction_count = 0;  // static instructions decoded
@@ -117,7 +115,8 @@ struct DecodedProgram {
 
 /// Decode a module. Validates terminator targets, register references,
 /// global ids, and call arities (ILC_CHECK), so the execution loop can skip
-/// per-instruction asserts.
-std::shared_ptr<const DecodedProgram> decode_program(const ir::Module& mod);
+/// per-instruction asserts. Each decode records its time on the
+/// `sim.decode_us` registry histogram (while profiling is on).
+DecodedProgram decode_program(const ir::Module& mod);
 
 }  // namespace ilc::sim

@@ -7,7 +7,6 @@
 #include "ir/printer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
-#include "sim/program_cache.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 
@@ -122,10 +121,8 @@ inline void store_le(std::uint8_t* p, std::uint64_t v, unsigned bytes) {
 
 }  // namespace
 
-Simulator::Simulator(const ir::Module& mod, const MachineConfig& cfg,
-                     std::shared_ptr<const DecodedProgram> decoded)
+Simulator::Simulator(const ir::Module& mod, const MachineConfig& cfg)
     : mod_(&mod),
-      decoded_(std::move(decoded)),
       cfg_(cfg),
       image_(mod.build_image()),
       l1_(cfg.l1),
@@ -135,10 +132,8 @@ Simulator::Simulator(const ir::Module& mod, const MachineConfig& cfg,
 }
 
 Simulator::Simulator(const ir::Module& mod, const MachineConfig& cfg,
-                     std::shared_ptr<const ir::MemoryImage> initial,
-                     std::shared_ptr<const DecodedProgram> decoded)
+                     std::shared_ptr<const ir::MemoryImage> initial)
     : mod_(&mod),
-      decoded_(std::move(decoded)),
       cfg_(cfg),
       image_{static_cast<const ir::ImageLayout&>(*initial), {}},
       initial_(std::move(initial)),
@@ -163,8 +158,7 @@ void Simulator::check_layout(const ir::Module& next, const char* what) const {
                 what << " requires an identical memory layout");
 }
 
-void Simulator::restart(const ir::Module& next,
-                        std::shared_ptr<const DecodedProgram> decoded) {
+void Simulator::restart(const ir::Module& next) {
   ILC_CHECK_MSG(initial_ != nullptr,
                 "restart needs a simulator built on an initial image");
   check_layout(next, "restart");
@@ -197,13 +191,13 @@ void Simulator::restart(const ir::Module& next,
   slots_used_ = 0;
   executed_ = 0;
   mod_ = &next;
-  decoded_ = std::move(decoded);
+  decoded_.reset();
 }
 
 void Simulator::switch_module(const ir::Module& next) {
   check_layout(next, "switch_module");
   mod_ = &next;
-  decoded_ = nullptr;  // the next engine call fetches `next`'s decoding
+  decoded_.reset();  // the next engine call decodes `next`
 }
 
 void Simulator::bounds_check(std::uint64_t addr, unsigned bytes) const {
@@ -264,8 +258,8 @@ RunResult Simulator::run() { return call("main"); }
 RunResult Simulator::call(FuncId fn_id,
                           const std::vector<std::int64_t>& args) {
   // Decode on the first engine call, outside the execute timer, so a
-  // Simulator that only runs the reference never touches the ProgramCache.
-  if (!decoded_) decoded_ = ProgramCache::instance().get(*mod_);
+  // Simulator that only runs the reference never decodes.
+  if (!decoded_) decoded_ = decode_program(*mod_);
   obs::ScopedTimerUs timer(h_execute_us());
   return observed(execute(fn_id, args));
 }

@@ -19,9 +19,10 @@
 // every candidate it simulates.
 //
 // call()/run() execute a sim::DecodedProgram (flat pre-decoded instruction
-// arrays shared through the process-wide ProgramCache) with computed-goto
-// threaded dispatch. That is the only engine; every production caller
-// runs it.
+// arrays) with computed-goto threaded dispatch. That is the only engine;
+// every production caller runs it. The Simulator decodes module() itself,
+// on the first engine call after construction, restart() or
+// switch_module(), and owns that decoding until the next of those.
 //
 // call_reference()/run_reference() walk the ir::Instr trees directly,
 // re-deriving use lists, branch ids, and widths per instruction. This
@@ -34,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -64,19 +66,14 @@ struct RunResult {
 
 class Simulator {
  public:
-  /// When `decoded` is null, the first engine call fetches the program from
-  /// the process-wide ProgramCache. Callers that already fingerprinted the
-  /// module (the search Evaluator) pass the decoded program explicitly to
-  /// avoid a second fingerprint pass.
-  Simulator(const ir::Module& mod, const MachineConfig& cfg,
-            std::shared_ptr<const DecodedProgram> decoded = nullptr);
+  /// Runs `mod`, which the caller must keep alive.
+  Simulator(const ir::Module& mod, const MachineConfig& cfg);
 
   /// A restartable simulator: runs `mod` against a copy of `initial`,
   /// which must be `mod`'s initial image (see initial_image) and is only
   /// read, so one image can serve many simulators.
   Simulator(const ir::Module& mod, const MachineConfig& cfg,
-            std::shared_ptr<const ir::MemoryImage> initial,
-            std::shared_ptr<const DecodedProgram> decoded = nullptr);
+            std::shared_ptr<const ir::MemoryImage> initial);
 
   /// `mod`'s initial memory image, for the restartable constructor. Every
   /// initial image a Simulator builds, here or in the first constructor,
@@ -89,9 +86,7 @@ class Simulator {
   /// same memory layout (checked) and the same initializers (the caller's
   /// contract; Debug builds check the whole image) as the module the
   /// initial image was built from, and the caller must keep it alive.
-  /// `decoded` as in the constructor.
-  void restart(const ir::Module& next,
-               std::shared_ptr<const DecodedProgram> decoded = nullptr);
+  void restart(const ir::Module& next);
 
   /// Invoke a function by id with the given arguments.
   RunResult call(ir::FuncId fn, const std::vector<std::int64_t>& args = {});
@@ -165,7 +160,8 @@ class Simulator {
   void check_layout(const ir::Module& next, const char* what) const;
 
   const ir::Module* mod_;  // never null; replaced by switch_module, restart
-  std::shared_ptr<const DecodedProgram> decoded_;  // null until first call()
+  /// *mod_ decoded; empty until the first engine call on it.
+  std::optional<DecodedProgram> decoded_;
   MachineConfig cfg_;
   ir::MemoryImage image_;
   /// The image restart() restores; null unless built restartable.

@@ -18,18 +18,6 @@ inline double mean(const std::vector<double>& v) {
   return s / static_cast<double>(v.size());
 }
 
-inline double variance(const std::vector<double>& v) {
-  ILC_ASSERT(!v.empty());
-  const double m = mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size());
-}
-
-inline double stdev(const std::vector<double>& v) {
-  return std::sqrt(variance(v));
-}
-
 /// Geometric mean; every element must be > 0.
 inline double geomean(const std::vector<double>& v) {
   ILC_ASSERT(!v.empty());
@@ -39,19 +27,6 @@ inline double geomean(const std::vector<double>& v) {
     s += std::log(x);
   }
   return std::exp(s / static_cast<double>(v.size()));
-}
-
-/// Linear-interpolated percentile, p in [0, 100].
-inline double percentile(std::vector<double> v, double p) {
-  ILC_ASSERT(!v.empty());
-  ILC_ASSERT(p >= 0.0 && p <= 100.0);
-  std::sort(v.begin(), v.end());
-  if (v.size() == 1) return v[0];
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
 inline double min_of(const std::vector<double>& v) {

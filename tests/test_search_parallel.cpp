@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "search/prefix_states.hpp"
 #include "search/seedbank.hpp"
 #include "search/strategies.hpp"
-#include "sim/program_cache.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/workloads.hpp"
 
@@ -302,17 +302,16 @@ struct MemoRun {
   std::size_t sequence_hits = 0;
   std::size_t pass_runs = 0;
   std::size_t pass_runs_skipped = 0;
-  /// Programs decoded: with a cold program cache, the number of distinct
-  /// optimized modules the search simulated.
+  /// Programs decoded, from the `sim.decode_us` histogram's count.
   std::uint64_t decodes = 0;
 };
 
 MemoRun run_with_memo(bool memo, bool genetic, unsigned workers,
                       const std::string& workload = "dotprod",
                       search::Objective obj = search::Objective::Cycles) {
-  sim::ProgramCache& programs = sim::ProgramCache::instance();
-  programs.clear();
-  const std::uint64_t misses = programs.misses();
+  const obs::Histogram decode_us =
+      obs::Registry::instance().histogram("sim.decode_us");
+  const std::uint64_t decodes = decode_us.count();
   search::Evaluator eval = make_eval(workload);
   eval.set_cache_enabled(memo);
   MemoRun out;
@@ -322,22 +321,33 @@ MemoRun run_with_memo(bool memo, bool genetic, unsigned workers,
   out.sequence_hits = eval.sequence_hits();
   out.pass_runs = eval.pass_runs();
   out.pass_runs_skipped = eval.pass_runs_skipped();
-  out.decodes = programs.misses() - misses;
+  out.decodes = decode_us.count() - decodes;
   return out;
 }
 
+/// The distinct optimized programs among the fixed-seed random search's
+/// candidates: the same 60 sequences drawn again, counted by fingerprint.
+std::size_t random_search_programs() {
+  const search::Evaluator eval = make_eval();
+  const search::SequenceSpace space;
+  support::Rng rng(7);
+  std::unordered_set<std::uint64_t> prints;
+  for (int i = 0; i < 60; ++i)
+    prints.insert(ir::fingerprint(eval.optimized(space.sample(rng))));
+  return prints.size();
+}
+
 // With the memo on, every distinct optimized module simulates exactly once
-// (the count a memo-off run decodes) and every other evaluation is a cache
-// hit; with it off, every evaluation simulates. Either way the trace is
-// the memo-off sequential trace, at every worker count. These searches
-// evaluate at most 120 candidates, so they reach at most that many
-// distinct programs, within the program cache's default capacity of 256:
-// nothing is evicted and decoded again, and the decode count still means
-// "distinct programs".
+// and every other evaluation is a cache hit; with it off, every evaluation
+// simulates. Either way the trace is the memo-off sequential trace, at
+// every worker count, and every simulation decodes its program once. The
+// GA's 120 evaluations reach 49 distinct programs, pinned because its seed
+// is fixed; the random search's are counted by fingerprint.
 TEST(SequenceMemo, TracesAndSimulationsMatchMemoOffAtEveryWidth) {
   for (const bool genetic : {true, false}) {
     const MemoRun reference = run_with_memo(false, genetic, 1);
     ASSERT_EQ(reference.simulations, reference.trace.evaluations);
+    const std::size_t programs = genetic ? 49 : random_search_programs();
 
     for (const bool memo : {true, false}) {
       for (const unsigned workers : {1u, 2u, 4u}) {
@@ -347,9 +357,9 @@ TEST(SequenceMemo, TracesAndSimulationsMatchMemoOffAtEveryWidth) {
         const MemoRun run = run_with_memo(memo, genetic, workers);
         expect_same_trace(run.trace, reference.trace);
         EXPECT_EQ(run.simulations + run.cache_hits, run.trace.evaluations);
-        EXPECT_EQ(run.decodes, reference.decodes);
+        EXPECT_EQ(run.decodes, run.simulations);
         if (memo) {
-          EXPECT_EQ(run.simulations, reference.decodes);
+          EXPECT_EQ(run.simulations, programs);
         } else {
           EXPECT_EQ(run.simulations, run.trace.evaluations);
           EXPECT_EQ(run.cache_hits, 0u);
@@ -407,40 +417,45 @@ std::string key_of(const std::vector<opt::PassId>& seq) {
 // with it off, every candidate runs all its passes from the base module.
 // The states must change nothing but the passes run: the trace, best
 // sequence and Pareto front are the memo-off run's at every width, and
-// each distinct program still simulates exactly once. mcf_lite's states
-// carry ~100 KB of initializers each, so only 12-20 fit under the byte
-// cap. Each search evaluates 120 candidates, so its distinct programs fit
-// the program cache and the memo-off decode count is that number.
+// each distinct program still simulates exactly once, decoding once.
+// mcf_lite's states carry ~100 KB of initializers each, so only 12-20 fit
+// under the byte cap. Each search's seed is fixed, so its count of
+// distinct programs is pinned.
 TEST(PrefixStates, GaMatchesMemoOffAtEveryWidth) {
   const std::size_t length = search::SequenceSpace{}.length;
-  for (const char* name : {"adpcm", "mcf_lite"}) {
-    for (const search::Objective obj :
-         {search::Objective::Cycles, search::Objective::Pareto}) {
-      const std::string label =
-          std::string(name) +
-          (obj == search::Objective::Pareto ? " pareto" : " cycles");
-      const MemoRun reference = run_with_memo(false, true, 1, name, obj);
-      ASSERT_EQ(reference.pass_runs, reference.trace.evaluations * length)
-          << label;
-      ASSERT_EQ(reference.pass_runs_skipped, 0u) << label;
+  const struct {
+    const char* name;
+    search::Objective obj;
+    std::size_t programs;
+  } cases[] = {{"adpcm", search::Objective::Cycles, 74},
+               {"adpcm", search::Objective::Pareto, 74},
+               {"mcf_lite", search::Objective::Cycles, 50},
+               {"mcf_lite", search::Objective::Pareto, 45}};
+  for (const auto& [name, obj, programs] : cases) {
+    const std::string label =
+        std::string(name) +
+        (obj == search::Objective::Pareto ? " pareto" : " cycles");
+    const MemoRun reference = run_with_memo(false, true, 1, name, obj);
+    ASSERT_EQ(reference.pass_runs, reference.trace.evaluations * length)
+        << label;
+    ASSERT_EQ(reference.pass_runs_skipped, 0u) << label;
 
-      for (const unsigned workers : {1u, 2u, 4u}) {
-        SCOPED_TRACE(label + " workers=" + std::to_string(workers));
-        const MemoRun run = run_with_memo(true, true, workers, name, obj);
-        expect_same_trace(run.trace, reference.trace);
-        expect_same_front(run.trace.pareto, reference.trace.pareto);
-        EXPECT_EQ(run.simulations, reference.decodes);
-        EXPECT_EQ(run.decodes, reference.decodes);
-        EXPECT_GT(run.pass_runs_skipped, 0u);
-        // Every pass of every pipeline either ran or came from a state.
-        // Only one worker fixes the pipeline count: at more, two workers
-        // may both miss the sequence index on one new sequence.
-        if (workers == 1) {
-          const std::size_t pipelines =
-              run.simulations + run.cache_hits - run.sequence_hits;
-          EXPECT_EQ(run.pass_runs + run.pass_runs_skipped,
-                    pipelines * length);
-        }
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(label + " workers=" + std::to_string(workers));
+      const MemoRun run = run_with_memo(true, true, workers, name, obj);
+      expect_same_trace(run.trace, reference.trace);
+      expect_same_front(run.trace.pareto, reference.trace.pareto);
+      EXPECT_EQ(run.simulations, programs);
+      EXPECT_EQ(run.decodes, run.simulations);
+      EXPECT_GT(run.pass_runs_skipped, 0u);
+      // Every pass of every pipeline either ran or came from a state.
+      // Only one worker fixes the pipeline count: at more, two workers
+      // may both miss the sequence index on one new sequence.
+      if (workers == 1) {
+        const std::size_t pipelines =
+            run.simulations + run.cache_hits - run.sequence_hits;
+        EXPECT_EQ(run.pass_runs + run.pass_runs_skipped,
+                  pipelines * length);
       }
     }
   }

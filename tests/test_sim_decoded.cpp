@@ -12,22 +12,24 @@
 // A restarted Simulator must be indistinguishable from a fresh one in the
 // same way, whatever the run before the restart stored or trapped on; and
 // the initial images it restores are pinned by digest.
+//
+// Each Simulator decodes its own module, once per module it runs: on the
+// first engine call after construction, restart() or switch_module().
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <iterator>
 #include <map>
 #include <memory>
-#include <thread>
 #include <tuple>
 
 #include "dynopt/dynopt.hpp"
 #include "ir/builder.hpp"
 #include "liveness_reference.hpp"
+#include "obs/metrics.hpp"
+#include "search/evaluator.hpp"
 #include "search/space.hpp"
 #include "sim/decoded_program.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/program_cache.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
@@ -129,18 +131,18 @@ TEST(DecodedDifferentialSwitchModule, MatchesReferenceAcrossCodeVersions) {
   EXPECT_EQ(reference.counters().v, engine.counters().v);
 }
 
-// --- decoded representation & cache ---------------------------------------
+// --- decoded representation -----------------------------------------------
 
 TEST(DecodedProgram, FlattensEveryFunctionAndInstruction) {
   const wl::Workload w = wl::make_workload("adpcm");
-  const auto prog = sim::decode_program(w.module);
-  ASSERT_EQ(prog->funcs.size(), w.module.functions().size());
+  const sim::DecodedProgram prog = sim::decode_program(w.module);
+  ASSERT_EQ(prog.funcs.size(), w.module.functions().size());
   std::size_t static_instrs = 0;
   for (const auto& fn : w.module.functions())
     for (const auto& b : fn.blocks) static_instrs += b.insts.size();
-  EXPECT_EQ(prog->instruction_count, static_instrs);
-  for (std::size_t f = 0; f < prog->funcs.size(); ++f) {
-    const auto& dfn = prog->funcs[f];
+  EXPECT_EQ(prog.instruction_count, static_instrs);
+  for (std::size_t f = 0; f < prog.funcs.size(); ++f) {
+    const auto& dfn = prog.funcs[f];
     EXPECT_EQ(dfn.name, w.module.functions()[f].name);
     ASSERT_EQ(dfn.block_entry.size(), w.module.functions()[f].blocks.size());
     // Block entries partition the flat code array in order.
@@ -148,30 +150,6 @@ TEST(DecodedProgram, FlattensEveryFunctionAndInstruction) {
     for (std::size_t b = 1; b < dfn.block_entry.size(); ++b)
       EXPECT_GT(dfn.block_entry[b], dfn.block_entry[b - 1]);
   }
-}
-
-TEST(ProgramCache, SharesOneDecodingPerFingerprint) {
-  sim::ProgramCache cache(8);
-  const wl::Workload w = wl::make_workload("dotprod");
-  const auto a = cache.get(w.module);
-  const auto b = cache.get(w.module);
-  EXPECT_EQ(a.get(), b.get());  // same decoded program object
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(ProgramCache, EvictsLeastRecentlyUsedAtCapacity) {
-  sim::ProgramCache cache(2);
-  const auto names = std::vector<std::string>{"dotprod", "rle", "crc32"};
-  std::vector<ir::Module> mods;
-  for (const auto& n : names) mods.push_back(wl::make_workload(n).module);
-  cache.get(mods[0]);
-  cache.get(mods[1]);
-  cache.get(mods[2]);  // evicts mods[0]
-  EXPECT_EQ(cache.size(), 2u);
-  cache.get(mods[0]);  // must re-decode
-  EXPECT_EQ(cache.misses(), 4u);
 }
 
 // --- superblock boundary stressors ----------------------------------------
@@ -291,41 +269,6 @@ TEST(SuperblockBoundary, BudgetTrapFiresInEveryMode) {
   EXPECT_THROW(sim::Simulator(m, cfg).run(), sim::TrapError);
 }
 
-// --- program cache: single-flight & eviction accounting -------------------
-
-TEST(ProgramCache, CountsEvictions) {
-  sim::ProgramCache cache(2);
-  for (const char* n : {"dotprod", "rle", "crc32"})
-    cache.get(wl::make_workload(n).module);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(ProgramCache, StampedeDecodesOnce) {
-  // Many threads demand the same (cold) fingerprint at once. Single-flight
-  // means exactly one decode: one thread leads, the rest block on the
-  // pending entry and pick up the published program — under the old
-  // decode-outside-the-lock scheme this raced and decoded per thread.
-  sim::ProgramCache cache(8);
-  const wl::Workload w = wl::make_workload("phased_mix");
-  constexpr int kThreads = 8;
-  std::atomic<int> ready{0};
-  std::vector<std::shared_ptr<const sim::DecodedProgram>> got(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }  // start the stampede together
-      got[t] = cache.get(w.module);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads - 1));
-  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(got[0].get(), got[t].get());
-}
-
 TEST(DecodedProgram, RejectsOutOfRangeGlobalId) {
   // The GlobalAddr handler indexes the image's global table unchecked, so
   // the decoder must refuse ids the module does not declare.
@@ -339,6 +282,88 @@ TEST(DecodedProgram, RejectsOutOfRangeGlobalId) {
   g.count = 4;
   m.add_global(g);
   EXPECT_NO_THROW(sim::decode_program(m));
+}
+
+// --- who decodes, and when --------------------------------------------------
+
+/// Programs decoded so far, from the `sim.decode_us` histogram's count
+/// (profiling is on by default).
+std::uint64_t decodes() {
+  return obs::Registry::instance().histogram("sim.decode_us").count();
+}
+
+TEST(Decoding, EverySimulatorDecodesOnItsFirstEngineCall) {
+  // The second simulator decodes a module the first one already decoded:
+  // nothing shares decodings between simulators.
+  const wl::Workload w = wl::make_workload("dotprod");
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE("simulator " + std::to_string(i));
+    sim::Simulator s(w.module, sim::amd_like());
+    const std::uint64_t before = decodes();
+    s.run();
+    EXPECT_EQ(decodes(), before + 1);
+    s.call("main");
+    EXPECT_EQ(decodes(), before + 1);
+  }
+}
+
+TEST(Decoding, RestartAndSwitchModuleDecodeOnTheNextEngineCall) {
+  const wl::Workload w = wl::make_workload("dotprod");
+  ir::Module optimized = w.module;
+  opt::run_sequence(optimized, {opt::PassId::ConstProp, opt::PassId::Dce});
+  sim::Simulator s(w.module, sim::amd_like(),
+                   sim::Simulator::initial_image(w.module));
+  s.run();
+
+  const std::uint64_t before = decodes();
+  s.restart(optimized);
+  EXPECT_EQ(decodes(), before);
+  s.run();
+  EXPECT_EQ(decodes(), before + 1);
+  s.call("main");
+  EXPECT_EQ(decodes(), before + 1);
+
+  s.switch_module(w.module);
+  EXPECT_EQ(decodes(), before + 1);
+  s.call("main");
+  EXPECT_EQ(decodes(), before + 2);
+  s.run();
+  EXPECT_EQ(decodes(), before + 2);
+}
+
+TEST(Decoding, ReferenceOnlySimulatorDecodesNothing) {
+  const wl::Workload w = wl::make_workload("dotprod");
+  const std::uint64_t before = decodes();
+  sim::Simulator s(w.module, sim::amd_like(),
+                   sim::Simulator::initial_image(w.module));
+  s.run_reference();
+  s.restart(w.module);
+  s.run_reference();
+  s.switch_module(w.module);
+  s.call_reference(w.module.find_function("main"));
+  EXPECT_EQ(decodes(), before);
+}
+
+TEST(Decoding, EvaluatorDecodesOncePerSimulationAndNotOnMemoHits) {
+  const wl::Workload w = wl::make_workload("dotprod");
+  search::Evaluator eval(w.module, sim::amd_like());
+  const search::SequenceSpace space;
+  support::Rng rng(17);
+  std::vector<std::vector<opt::PassId>> seqs;
+  for (int i = 0; i < 16; ++i) seqs.push_back(space.sample(rng));
+
+  const std::uint64_t before = decodes();
+  for (const auto& seq : seqs) eval.eval_sequence(seq);
+  ASSERT_GT(eval.simulations(), 0u);
+  EXPECT_EQ(decodes() - before, eval.simulations());
+
+  // A second pass over the same sequences is all memo hits.
+  const std::size_t simulations = eval.simulations();
+  const std::uint64_t after = decodes();
+  for (const auto& seq : seqs) eval.eval_sequence(seq);
+  EXPECT_EQ(eval.simulations(), simulations);
+  EXPECT_EQ(eval.cache_hits(), seqs.size() + (seqs.size() - simulations));
+  EXPECT_EQ(decodes(), after);
 }
 
 // --- initial images -------------------------------------------------------
