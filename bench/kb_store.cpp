@@ -5,6 +5,13 @@
 // injection must recover exactly the acknowledged prefix, and the run
 // fails (exit 1) when any gate is violated.
 //
+// It also gates recovery's footprint. A fresh process (this binary, run
+// as `kb_store --recover-child <dir>`) opens the WAL-heavy store and
+// reports how far its peak RSS rose during Store::open. Recovery streams
+// the WAL in kbstore::kLogChunk pieces, so a full run fails when that
+// growth exceeds one chunk plus kFootprintMargin; a smoke run's 2,000
+// frames fit the margin either way, so there it is only reported.
+//
 //   kb_store [--smoke] [--json <path>]
 //
 //   ILC_KBSTORE_RECORDS   records per pass        (default 20000)
@@ -12,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -20,7 +28,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "kbstore/log_format.hpp"
 #include "kbstore/store.hpp"
 #include "support/table.hpp"
 
@@ -78,9 +85,51 @@ double write_pass(const std::string& dir, std::size_t n,
   return static_cast<double>(n) / secs_since(t0);
 }
 
+/// Room above one read chunk that the recovery footprint gate allows: the
+/// index of 97 keys, the records being decoded, allocator slack.
+constexpr std::uint64_t kFootprintMargin = 4u << 20;
+
+/// A `VmRSS:`-style field of /proc/self/status, in bytes; -1 if absent.
+long long status_bytes(const char* field) {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line))
+    if (line.rfind(field, 0) == 0)
+      return std::atoll(line.c_str() + std::strlen(field)) * 1024;
+  return -1;
+}
+
+/// `--recover-child <dir>`: open the store and print how far the peak RSS
+/// rose above the RSS just before the open, in bytes.
+int recover_child(const std::string& dir) {
+  const long long before = status_bytes("VmRSS:");
+  auto store = kbstore::Store::open(dir);
+  const long long peak = status_bytes("VmHWM:");
+  if (!store || before < 0 || peak < 0) return 1;
+  std::printf("%lld\n", peak - before);
+  return 0;
+}
+
+/// Run recover_child on `dir` in a fresh process: its heap holds nothing
+/// of the passes before. The growth it reports, or -1 when it could not.
+long long recover_rss_growth(const std::string& dir) {
+  std::error_code ec;
+  const fs::path self = fs::read_symlink("/proc/self/exe", ec);
+  if (ec) return -1;
+  const std::string cmd =
+      "'" + self.string() + "' --recover-child '" + dir + "'";
+  std::FILE* child = popen(cmd.c_str(), "r");
+  if (!child) return -1;
+  long long growth = -1;
+  if (std::fscanf(child, "%lld", &growth) != 1) growth = -1;
+  return pclose(child) == 0 ? growth : -1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc == 3 && std::strcmp(argv[1], "--recover-child") == 0)
+    return recover_child(argv[2]);
   const bench::Args args = bench::parse_args(argc, argv);
   const std::size_t n =
       args.smoke ? 2000 : bench::env_unsigned("ILC_KBSTORE_RECORDS", 20000);
@@ -123,6 +172,13 @@ int main(int argc, char** argv) {
         static_cast<double>(per_thread * readers) / secs_since(t0);
     table.add_row({"lookup x" + std::to_string(readers), fmt(lookup_rate)});
   }
+
+  // Recovery footprint: the WAL-heavy store reopened in a fresh process.
+  const long long growth = recover_rss_growth(dir);
+  const std::uint64_t growth_bound = kbstore::kLogChunk + kFootprintMargin;
+  const bool footprint_ok =
+      growth >= 0 && static_cast<std::uint64_t>(growth) <= growth_bound;
+  if (!args.smoke) ok = ok && footprint_ok;
 
   // Recovery: WAL-heavy reopen, then compaction, then snapshot reopen.
   double recover_wal_s = 0.0, compact_s = 0.0, recover_snap_s = 0.0;
@@ -169,6 +225,11 @@ int main(int argc, char** argv) {
 
   std::printf("\nrecovered %zu live records; torn-tail injection %s\n", live,
               torn_ok ? "recovered cleanly" : "FAILED");
+  std::printf("recovery peak RSS growth: %.2f MB (bound %.2f MB, %s)\n",
+              static_cast<double>(growth) / 1e6,
+              static_cast<double>(growth_bound) / 1e6,
+              !footprint_ok ? "FAILED"
+                            : args.smoke ? "reported only" : "ok");
   std::printf("all gates: %s\n", ok ? "PASS" : "FAIL");
 
   if (!args.json_path.empty()) {
@@ -183,6 +244,7 @@ int main(int argc, char** argv) {
         .number("recover_wal_s", recover_wal_s)
         .number("compact_s", compact_s)
         .number("recover_snapshot_s", recover_snap_s)
+        .number("recover_rss_growth_mb", static_cast<double>(growth) / 1e6)
         .boolean("torn_tail_recovered", torn_ok)
         .boolean("pass", ok);
     if (!bench::write_json(args.json_path, json)) {

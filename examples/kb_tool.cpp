@@ -200,6 +200,8 @@ int cmd_predict(const char* path, const char* target) {
 /// replays, one line per frame — generation, sequence, op, key, CRC
 /// health — plus an honest report of any torn tail. Reads the file
 /// directly (no Store::open), so it works on stores a crash just tore.
+/// One walk decodes each intact frame once; a damaged frame it stops at
+/// gets the last line.
 int cmd_wal_dump(const char* dir) {
   const std::string path = std::string(dir) + "/wal.ilc";
   std::ifstream f(path, std::ios::binary);
@@ -217,54 +219,46 @@ int cmd_wal_dump(const char* dir) {
                 path.c_str(), bytes.size());
     return 1;
   }
-  const kbstore::ScannedLog probe = kbstore::scan_log(
-      std::string_view(bytes).substr(0, kbstore::kHeaderSize),
-      kbstore::kWalType);
-  if (!probe.header_ok) {
+  const auto generation = kbstore::read_header(bytes, kbstore::kWalType);
+  if (!generation) {
     std::printf("%s: not a WAL (bad magic or type byte)\n", path.c_str());
     return 1;
   }
   std::printf("%s: generation %llu, %zu bytes\n", path.c_str(),
-              static_cast<unsigned long long>(probe.generation),
-              bytes.size());
+              static_cast<unsigned long long>(*generation), bytes.size());
 
-  const kbstore::WalkedFrames walked =
-      kbstore::walk_frames(bytes, kbstore::kHeaderSize);
   support::Table table({"seq", "offset", "bytes", "op", "key", "crc"});
-  for (std::size_t i = 0; i < walked.frames.size(); ++i) {
-    const kbstore::FrameBounds& fb = walked.frames[i];
-    std::string op = "?";
-    std::string key = "-";
-    if (fb.decodable) {
-      switch (fb.op) {
-        case kbstore::Op::Append: op = "append"; break;
-        case kbstore::Op::Upsert: op = "upsert"; break;
-      }
-      const auto lr = kbstore::decode_record(std::string_view(bytes).substr(
-          fb.offset + kbstore::kFrameOverhead, fb.len));
-      if (lr)
-        key = lr->rec.program + "|" + lr->rec.machine + "|" + lr->rec.kind;
-    }
-    table.add_row({support::Table::num(static_cast<long long>(i)),
+  std::size_t frames = 0;
+  const auto add_row = [&](const kbstore::FrameBounds& fb, std::string op,
+                           std::string key, std::string health) {
+    table.add_row({support::Table::num(static_cast<long long>(frames++)),
                    support::Table::num(static_cast<long long>(fb.offset)),
                    support::Table::num(static_cast<long long>(fb.size())),
-                   op, key,
-                   fb.crc_ok ? (fb.decodable ? "ok" : "BAD DECODE")
-                             : "BAD CRC"});
-  }
+                   std::move(op), std::move(key), std::move(health)});
+  };
+  const kbstore::WalkedFrames walked = kbstore::walk_frames(
+      bytes, kbstore::kHeaderSize,
+      [&](const kbstore::FrameBounds& fb, kbstore::LogRecord&& lr) {
+        add_row(fb, lr.op == kbstore::Op::Upsert ? "upsert" : "append",
+                lr.rec.program + "|" + lr.rec.machine + "|" + lr.rec.kind,
+                "ok");
+      });
+  if (walked.damaged)
+    add_row(*walked.damaged, "?", "-",
+            walked.stop == kbstore::FrameStatus::BadCrc ? "BAD CRC"
+                                                        : "BAD DECODE");
   std::printf("%s", table.render().c_str());
 
-  if (walked.clean) {
-    std::printf("%zu frames, clean tail\n", walked.frames.size());
+  if (walked.clean()) {
+    std::printf("%zu frames, clean tail\n", frames);
   } else {
     std::printf("%zu frames, %llu intact bytes; %llu torn/corrupt bytes at "
                 "the tail (recovery would truncate here)\n",
-                walked.frames.size(),
-                static_cast<unsigned long long>(walked.good_bytes),
+                frames, static_cast<unsigned long long>(walked.good_bytes),
                 static_cast<unsigned long long>(bytes.size() -
                                                 walked.good_bytes));
   }
-  return walked.clean ? 0 : 1;
+  return walked.clean() ? 0 : 1;
 }
 
 /// Replication status from disk: the store's durable WalPosition — the

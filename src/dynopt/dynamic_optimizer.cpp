@@ -64,8 +64,10 @@ AuditReport DynamicOptimizer::run_audited(const KernelSpec& spec) {
 
   // One simulator; code versions are swapped in via switch_module so
   // memory, caches, and predictor state carry across, exactly like a
-  // runtime code cache would behave.
+  // runtime code cache would behave. A switch drops the simulator's
+  // decoding, so it happens only when the running version changes.
   sim::Simulator sim(versions_[0].module, machine_);
+  unsigned loaded = 0;  // the version the simulator runs
   if (!spec.setup.empty()) sim.call(spec.setup);
 
   PhaseDetector detector;
@@ -75,10 +77,6 @@ AuditReport DynamicOptimizer::run_audited(const KernelSpec& spec) {
   std::vector<std::uint64_t> audit_cycles(versions_.size(), 0);
   unsigned last_phase = 0;
 
-  auto switch_to = [&](unsigned v) {
-    sim.switch_module(versions_[v].module);
-  };
-
   for (std::int64_t i = 0; i < spec.items; ++i) {
     unsigned running;
     if (auditing) {
@@ -86,7 +84,10 @@ AuditReport DynamicOptimizer::run_audited(const KernelSpec& spec) {
     } else {
       running = committed;
     }
-    switch_to(running);
+    if (running != loaded) {
+      sim.switch_module(versions_[running].module);
+      loaded = running;
+    }
     const auto rr = sim.call(spec.kernel, {i});
     rep.checksum = fold32(rep.checksum + rr.ret);
     rep.total_cycles += rr.cycles;

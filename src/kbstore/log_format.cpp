@@ -8,35 +8,23 @@ namespace {
 
 constexpr char kMagic[6] = {'i', 'l', 'c', 'k', 'b', '1'};
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
-
 }  // namespace
 
 std::string log_header(char type, std::uint64_t generation) {
   std::string out(kMagic, sizeof(kMagic));
   out.push_back(type);
   out.push_back('\n');
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>(generation >> (8 * i)));
+  put_u64(out, generation);
   return out;
+}
+
+std::optional<std::uint64_t> read_header(std::string_view bytes, char type) {
+  if (bytes.size() < kHeaderSize ||
+      bytes.substr(0, sizeof(kMagic)) !=
+          std::string_view(kMagic, sizeof(kMagic)) ||
+      bytes[6] != type || bytes[7] != '\n')
+    return std::nullopt;
+  return get_u64(bytes.data() + 8);
 }
 
 void append_frame(std::string& out, std::string_view payload) {
@@ -45,65 +33,43 @@ void append_frame(std::string& out, std::string_view payload) {
   out.append(payload);
 }
 
-ScannedLog scan_log(std::string_view bytes, char type) {
-  ScannedLog out;
-  if (bytes.size() < kHeaderSize) return out;  // torn header
-  if (std::string_view(bytes.data(), sizeof(kMagic)) !=
-          std::string_view(kMagic, sizeof(kMagic)) ||
-      bytes[6] != type || bytes[7] != '\n')
-    return out;  // wrong magic or file type
-  out.header_ok = true;
-  out.generation = get_u64(bytes.data() + 8);
-  out.good_bytes = kHeaderSize;
-
-  std::size_t off = kHeaderSize;
-  while (off < bytes.size()) {
-    if (bytes.size() - off < kFrameOverhead) break;  // torn length/crc
-    const std::uint32_t len = get_u32(bytes.data() + off);
-    const std::uint32_t crc = get_u32(bytes.data() + off + 4);
-    if (len > kMaxPayload || bytes.size() - off - kFrameOverhead < len)
-      break;  // insane length or torn payload
-    const std::string_view payload(bytes.data() + off + kFrameOverhead, len);
-    if (support::crc32(payload) != crc) break;  // corrupt payload
-    auto rec = decode_record(payload);
-    if (!rec) break;  // checksum ok but undecodable: treat as corrupt
-    out.records.push_back(std::move(*rec));
-    off += kFrameOverhead + len;
-    out.good_bytes = off;
-  }
-  out.clean = out.good_bytes == bytes.size();
-  return out;
+FrameStatus read_frame(std::string_view bytes, std::size_t off,
+                       std::uint32_t max_len, std::string_view& payload) {
+  if (bytes.size() - off < kFrameOverhead) return FrameStatus::Short;
+  const std::uint32_t len = get_u32(bytes.data() + off);
+  if (len > max_len) return FrameStatus::TooLong;
+  if (bytes.size() - off - kFrameOverhead < len) return FrameStatus::Short;
+  const std::string_view body = bytes.substr(off + kFrameOverhead, len);
+  if (support::crc32(body) != get_u32(bytes.data() + off + 4))
+    return FrameStatus::BadCrc;
+  payload = body;
+  return FrameStatus::Ok;
 }
 
-WalkedFrames walk_frames(std::string_view bytes, std::uint64_t start) {
+WalkedFrames walk_frames(std::string_view bytes, std::uint64_t start,
+                         const FrameVisitor& visit) {
   WalkedFrames out;
   out.good_bytes = start;
-  std::uint64_t off = start;
-  while (off < bytes.size()) {
-    if (bytes.size() - off < kFrameOverhead) return out;  // torn length/crc
-    FrameBounds fb;
-    fb.offset = off;
-    fb.len = get_u32(bytes.data() + off);
-    fb.crc = get_u32(bytes.data() + off + 4);
-    if (fb.len > kMaxPayload ||
-        bytes.size() - off - kFrameOverhead < fb.len)
-      return out;  // insane length or torn payload
-    const std::string_view payload(bytes.data() + off + kFrameOverhead,
-                                   fb.len);
-    fb.crc_ok = support::crc32(payload) == fb.crc;
-    if (fb.crc_ok) {
-      if (auto rec = decode_record(payload)) {
-        fb.decodable = true;
-        fb.op = rec->op;
-      }
+  while (out.good_bytes < bytes.size()) {
+    std::string_view payload;
+    out.stop = read_frame(bytes, out.good_bytes, kMaxPayload, payload);
+    if (out.stop == FrameStatus::Short || out.stop == FrameStatus::TooLong)
+      return out;
+    const FrameBounds fb{out.good_bytes,
+                         get_u32(bytes.data() + out.good_bytes)};
+    std::optional<LogRecord> rec;
+    if (out.stop == FrameStatus::Ok) {
+      rec = decode_record(payload);
+      if (!rec) out.stop = FrameStatus::BadRecord;
     }
-    const bool bad = !fb.crc_ok || !fb.decodable;
-    out.frames.push_back(fb);
-    if (bad) return out;  // complete but corrupt: stop, flagged
-    off += fb.size();
-    out.good_bytes = off;
+    if (out.stop != FrameStatus::Ok) {  // complete but damaged: stop here
+      out.damaged = fb;
+      return out;
+    }
+    visit(fb, std::move(*rec));
+    ++out.count;
+    out.good_bytes = fb.end();
   }
-  out.clean = true;
   return out;
 }
 

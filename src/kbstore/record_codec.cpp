@@ -2,19 +2,13 @@
 
 #include <cstring>
 
+#include "kbstore/log_format.hpp"
+
 namespace ilc::kbstore {
 
 namespace {
 
 // ---- encoding ------------------------------------------------------------
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
 
 void put_str(std::string& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
@@ -40,10 +34,7 @@ struct Cursor {
 
   bool u32(std::uint32_t& v) {
     if (left < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-           << (8 * i);
+    v = get_u32(p);
     p += 4;
     left -= 4;
     return true;
@@ -51,10 +42,7 @@ struct Cursor {
 
   bool u64(std::uint64_t& v) {
     if (left < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-           << (8 * i);
+    v = get_u64(p);
     p += 8;
     left -= 8;
     return true;

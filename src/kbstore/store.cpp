@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "kbstore/log_format.hpp"
 #include "obs/metrics.hpp"
@@ -83,13 +82,50 @@ obs::Gauge& g_durable_seq() {
   return g;
 }
 
-bool read_file_bytes(const std::string& path, std::string& out) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  std::ostringstream os;
-  os << f.rdbuf();
-  out = os.str();
-  return true;
+/// The generation in the header of the log `in` reads; nullopt when it
+/// cannot be read, is shorter than a header, or is foreign.
+std::optional<std::uint64_t> read_log_header(std::istream& in, char type) {
+  char bytes[kHeaderSize];
+  in.read(bytes, kHeaderSize);
+  return read_header(
+      std::string_view(bytes, static_cast<std::size_t>(in.gcount())), type);
+}
+
+/// Walk the frames after the header in `in`, handing each intact record
+/// to `visit` as it is decoded and chaining `chain` (when given) over the
+/// intact frames' bytes. Each read tops the buffer up to a whole
+/// kLogChunk; the frame a chunk cuts moves to the front for the next
+/// read, and a frame longer than a chunk grows the buffer. Offsets in the
+/// result are file offsets; nullopt on a read error.
+std::optional<WalkedFrames> replay_frames(std::istream& in,
+                                          const FrameVisitor& visit,
+                                          std::uint32_t* chain) {
+  WalkedFrames total;
+  total.good_bytes = kHeaderSize;
+  std::string buf;  // the file from total.good_bytes on, as read so far
+  while (true) {
+    const std::size_t have = buf.size();
+    const std::size_t want = kLogChunk - have % kLogChunk;
+    buf.resize(have + want);
+    in.read(buf.data() + have, static_cast<std::streamsize>(want));
+    if (in.bad()) return std::nullopt;
+    const auto got = static_cast<std::size_t>(in.gcount());
+    buf.resize(have + got);
+
+    const WalkedFrames w = walk_frames(buf, 0, visit);
+    if (chain)
+      *chain = support::crc32(std::string_view(buf).substr(0, w.good_bytes),
+                              *chain);
+    total.count += w.count;
+    total.stop = w.stop;
+    if (w.damaged)
+      total.damaged = FrameBounds{total.good_bytes + w.damaged->offset,
+                                  w.damaged->len};
+    total.good_bytes += w.good_bytes;
+    const bool more = w.stop == FrameStatus::Ok || w.stop == FrameStatus::Short;
+    if (got < want || !more) return total;
+    buf.erase(0, w.good_bytes);
+  }
 }
 
 bool fsync_file(std::FILE* f) {
@@ -169,65 +205,65 @@ bool Store::recover(RecoveryInfo& info) {
   // A leftover snapshot.tmp is a compaction that crashed before publish.
   fs::remove(dir_ + "/snapshot.tmp", ec);
 
+  const FrameVisitor replay = [this](const FrameBounds&, LogRecord&& lr) {
+    apply(std::move(lr));
+  };
   std::uint64_t snapshot_generation = 0;
   if (fs::is_regular_file(snapshot_path())) {
-    std::string bytes;
-    if (!read_file_bytes(snapshot_path(), bytes)) return false;
-    ScannedLog scan = scan_log(bytes, kSnapshotType);
+    std::ifstream snapshot(snapshot_path(), std::ios::binary);
     // Snapshots are published atomically, so damage is real corruption,
     // not a torn write: refuse to open rather than silently drop data.
-    if (!scan.header_ok || !scan.clean) return false;
-    for (auto& lr : scan.records) apply(std::move(lr));
-    info.snapshot_records = scan.records.size();
-    snapshot_generation = scan.generation;
+    const std::optional<std::uint64_t> generation =
+        read_log_header(snapshot, kSnapshotType);
+    if (!generation) return false;
+    const std::optional<WalkedFrames> walked =
+        replay_frames(snapshot, replay, nullptr);
+    if (!walked || !walked->clean()) return false;
+    info.snapshot_records = walked->count;
+    snapshot_generation = *generation;
   }
   dead_ = 0;  // snapshot contents are the baseline, not garbage
 
   if (fs::is_regular_file(wal_path())) {
-    std::string bytes;
-    if (!read_file_bytes(wal_path(), bytes)) return false;
-    if (bytes.size() < kHeaderSize) {
+    const std::uint64_t size = fs::file_size(wal_path(), ec);
+    if (ec) return false;
+    if (size < kHeaderSize) {
       // Torn before the header finished: an empty log, minus the scraps.
-      info.torn_tail = !bytes.empty();
-      info.torn_bytes = bytes.size();
+      info.torn_tail = size != 0;
+      info.torn_bytes = size;
     } else {
-      ScannedLog scan = scan_log(bytes, kWalType);
-      if (!scan.header_ok) return false;  // full-size foreign header
-      if (scan.generation <= snapshot_generation) {
+      std::ifstream wal(wal_path(), std::ios::binary);
+      const std::optional<std::uint64_t> generation =
+          read_log_header(wal, kWalType);
+      if (!generation) return false;  // full-size foreign header
+      if (*generation <= snapshot_generation) {
         // Compaction crashed between snapshot publish and WAL truncation:
         // everything in this WAL is already in the snapshot.
         info.stale_wal = true;
       } else {
-        for (auto& lr : scan.records) apply(std::move(lr));
-        info.wal_records = scan.records.size();
-        if (!scan.clean) {
+        std::uint32_t chain = 0;
+        const std::optional<WalkedFrames> walked =
+            replay_frames(wal, replay, &chain);
+        if (!walked) return false;
+        info.wal_records = walked->count;
+        if (!walked->clean()) {
           info.torn_tail = true;
-          info.torn_bytes = bytes.size() - scan.good_bytes;
-          fs::resize_file(wal_path(), scan.good_bytes, ec);
+          info.torn_bytes = size - walked->good_bytes;
+          fs::resize_file(wal_path(), walked->good_bytes, ec);
           if (ec) return false;
         }
         wal_ = std::fopen(wal_path().c_str(), "ab");
         if (!wal_) return false;
-        wal_generation_ = scan.generation;
-        wal_bytes_ = scan.good_bytes;
-        wal_seq_ = scan.records.size();
-        wal_chain_ = support::crc32(
-            std::string_view(bytes).substr(kHeaderSize,
-                                           scan.good_bytes - kHeaderSize));
+        wal_generation_ = *generation;
+        wal_bytes_ = walked->good_bytes;
+        wal_seq_ = walked->count;
+        wal_chain_ = chain;
       }
     }
   }
 
-  if (!wal_) {  // missing, torn-at-header, or stale: fresh generation
-    wal_ = std::fopen(wal_path().c_str(), "wb");
-    if (!wal_) return false;
-    wal_generation_ = snapshot_generation + 1;
-    const std::string header = log_header(kWalType, wal_generation_);
-    if (std::fwrite(header.data(), 1, header.size(), wal_) != header.size() ||
-        std::fflush(wal_) != 0)
-      return false;
-    wal_bytes_ = kHeaderSize;
-  }
+  // Missing, torn-at-header, or stale: a fresh generation.
+  if (!wal_ && !start_wal_locked(snapshot_generation + 1)) return false;
   publish_position_locked();  // single-threaded here: open() owns the store
   return true;
 }
@@ -379,14 +415,21 @@ void Store::clear_index_locked() {
   next_seq_ = 0;
 }
 
-bool Store::follower_append(std::string_view frames, std::size_t count) {
-  if (!is_follower()) return false;
+std::size_t Store::follower_append(std::string_view frames) {
+  if (!is_follower()) return 0;
   std::lock_guard<std::mutex> lock(wal_mu_);
-  if (!wal_) return false;
+  if (!wal_) return 0;
   // Verify the whole batch before a byte lands: every frame complete,
-  // CRC-clean, decodable, and nothing else in the buffer.
-  const WalkedFrames walked = walk_frames(frames, 0);
-  if (!walked.clean || walked.frames.size() != count) return false;
+  // CRC-clean, decodable, and nothing else in the buffer. The walk decodes
+  // each record once; they are applied after the write.
+  std::vector<LogRecord> records;
+  std::uint64_t last_offset = 0;
+  const WalkedFrames walked =
+      walk_frames(frames, 0, [&](const FrameBounds& fb, LogRecord&& lr) {
+        last_offset = fb.offset;
+        records.push_back(std::move(lr));
+      });
+  if (!walked.clean() || walked.count == 0) return 0;
 
   // Fault injection: "kbstore.follower_torn" is the follower crashing
   // mid-apply — a prefix of the batch reaches the file (cut mid-frame),
@@ -394,34 +437,29 @@ bool Store::follower_append(std::string_view frames, std::size_t count) {
   // resumes from the surviving position.
   if (support::failpoint("kbstore.follower_torn")) {
     const std::size_t cut =
-        walked.frames.size() > 1 ? walked.frames.back().offset + 3
-                                 : frames.size() / 2;
+        walked.count > 1 ? last_offset + 3 : frames.size() / 2;
     std::fwrite(frames.data(), 1, cut, wal_);
     std::fflush(wal_);
     std::fclose(wal_);  // the "crash": no further appends land here;
     wal_ = nullptr;     // reopening the store truncates the torn tail
-    return false;
+    return 0;
   }
 
   if (std::fwrite(frames.data(), 1, frames.size(), wal_) != frames.size() ||
       std::fflush(wal_) != 0)
-    return false;
-  if (opts_.fsync_on_flush && !fsync_file(wal_)) return false;
+    return 0;
+  if (opts_.fsync_on_flush && !fsync_file(wal_)) return 0;
 
-  for (const FrameBounds& fb : walked.frames) {
-    auto rec = decode_record(
-        frames.substr(fb.offset + kFrameOverhead, fb.len));
-    apply(std::move(*rec));  // verified decodable above
-  }
+  for (LogRecord& lr : records) apply(std::move(lr));
   wal_bytes_ += frames.size();
-  wal_seq_ += count;
+  wal_seq_ += walked.count;
   wal_chain_ = support::crc32(frames, wal_chain_);
-  appends_ += count;
+  appends_ += walked.count;
   ++flushes_;
-  c_appends().add(count);
+  c_appends().add(walked.count);
   c_flushes().add(1);
   publish_position_locked();
-  return true;
+  return walked.count;
 }
 
 bool Store::follower_install_snapshot(std::string_view snapshot,
@@ -429,10 +467,14 @@ bool Store::follower_install_snapshot(std::string_view snapshot,
   if (!is_follower() || wal_generation == 0) return false;
   std::lock_guard<std::mutex> lock(wal_mu_);
 
-  ScannedLog scan;
+  std::vector<LogRecord> records;
   if (!snapshot.empty()) {
-    scan = scan_log(snapshot, kSnapshotType);
-    if (!scan.header_ok || !scan.clean) return false;  // corrupt image
+    if (!read_header(snapshot, kSnapshotType)) return false;  // corrupt image
+    const WalkedFrames walked = walk_frames(
+        snapshot, kHeaderSize, [&](const FrameBounds&, LogRecord&& lr) {
+          records.push_back(std::move(lr));
+        });
+    if (!walked.clean()) return false;  // corrupt image
     const std::string tmp = dir_ + "/snapshot.tmp";
     std::FILE* f = std::fopen(tmp.c_str(), "wb");
     if (!f) return false;
@@ -452,23 +494,12 @@ bool Store::follower_install_snapshot(std::string_view snapshot,
   }
 
   clear_index_locked();
-  for (auto& lr : scan.records) apply(std::move(lr));
+  for (LogRecord& lr : records) apply(std::move(lr));
   dead_ = 0;
 
   // Restart the WAL at the leader's generation; the header bytes are a
   // pure function of (type, generation), so the files stay identical.
-  if (wal_) std::fclose(wal_);
-  wal_ = std::fopen(wal_path().c_str(), "wb");
-  if (!wal_) return false;
-  wal_generation_ = wal_generation;
-  const std::string header = log_header(kWalType, wal_generation_);
-  if (std::fwrite(header.data(), 1, header.size(), wal_) != header.size() ||
-      std::fflush(wal_) != 0)
-    return false;
-  if (opts_.fsync_on_flush && !fsync_file(wal_)) return false;
-  wal_bytes_ = kHeaderSize;
-  wal_seq_ = 0;
-  wal_chain_ = 0;
+  if (!start_wal_locked(wal_generation)) return false;
   pending_.clear();
   pending_records_ = 0;
   ++compactions_;  // a follower "compaction": adopted from the leader
@@ -477,6 +508,22 @@ bool Store::follower_install_snapshot(std::string_view snapshot,
 }
 
 // ---- durability ----------------------------------------------------------
+
+bool Store::start_wal_locked(std::uint64_t generation) {
+  if (wal_) std::fclose(wal_);
+  wal_ = std::fopen(wal_path().c_str(), "wb");
+  if (!wal_) return false;
+  wal_generation_ = generation;
+  const std::string header = log_header(kWalType, generation);
+  if (std::fwrite(header.data(), 1, header.size(), wal_) != header.size() ||
+      std::fflush(wal_) != 0)
+    return false;
+  if (opts_.fsync_on_flush && !fsync_file(wal_)) return false;
+  wal_bytes_ = kHeaderSize;
+  wal_seq_ = 0;
+  wal_chain_ = 0;
+  return true;
+}
 
 bool Store::flush_locked() {
   if (pending_.empty()) return true;
@@ -582,21 +629,7 @@ bool Store::compact_locked() {
 
   // Start a fresh WAL generation. If we crash before this completes, the
   // old WAL's generation <= the snapshot's and recovery discards it.
-  if (wal_) {
-    std::fclose(wal_);
-    wal_ = nullptr;
-  }
-  wal_ = std::fopen(wal_path().c_str(), "wb");
-  if (!wal_) return false;
-  ++wal_generation_;
-  const std::string header = log_header(kWalType, wal_generation_);
-  if (std::fwrite(header.data(), 1, header.size(), wal_) != header.size() ||
-      std::fflush(wal_) != 0)
-    return false;
-  if (opts_.fsync_on_flush && !fsync_file(wal_)) return false;
-  wal_bytes_ = kHeaderSize;
-  wal_seq_ = 0;
-  wal_chain_ = 0;
+  if (!start_wal_locked(wal_generation_ + 1)) return false;
   dead_ = 0;
   ++compactions_;
   c_compactions().add(1);

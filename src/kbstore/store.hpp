@@ -33,7 +33,10 @@
 // Recovery: open() replays the snapshot, then every intact WAL frame of a
 // newer generation, and truncates the WAL at the first torn or
 // checksum-failing frame — a crash mid-append costs at most the
-// un-flushed tail, never the file.
+// un-flushed tail, never the file. Each file is replayed in one pass of
+// kLogChunk reads that applies each record as it is decoded and chains
+// the replication CRC over the same bytes; a WAL the snapshot already
+// covers is discarded unread.
 //
 // Compaction: once superseded records outnumber the configured dead/live
 // ratio, a background thread (or an explicit compact() call) writes the
@@ -58,6 +61,10 @@
 #include "kbstore/record_codec.hpp"
 
 namespace ilc::kbstore {
+
+/// Recovery reads a log this many bytes at a time: under glibc's default
+/// mmap threshold, as a mapped 1 MiB buffer slowed warm serving by ~7%.
+inline constexpr std::size_t kLogChunk = std::size_t{1} << 16;
 
 struct Options {
   enum class Flush {
@@ -175,7 +182,9 @@ class Store {
   /// is written. Bytes land verbatim (the follower WAL stays
   /// byte-identical to the leader's) and are flushed before return, so
   /// the follower's reported position never runs ahead of its disk.
-  bool follower_append(std::string_view frames, std::size_t count);
+  /// Returns the frames appended, each decoded once; 0 when the batch is
+  /// empty, torn or corrupt, or the write fails.
+  std::size_t follower_append(std::string_view frames);
 
   /// Adopt a leader's compacted state: install `snapshot` (a full
   /// snapshot file image, verbatim; empty = leader has none) and restart
@@ -241,6 +250,8 @@ class Store {
   bool log_and_apply(LogRecord lr);
 
   bool flush_locked();
+  /// Replace the WAL with an empty one (its header only) at `generation`.
+  bool start_wal_locked(std::uint64_t generation);
   bool compact_locked();
   void clear_index_locked();
   void publish_position_locked();

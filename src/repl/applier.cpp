@@ -1,7 +1,5 @@
 #include "repl/applier.hpp"
 
-#include "kbstore/log_format.hpp"
-
 namespace ilc::repl {
 
 namespace {
@@ -108,18 +106,14 @@ bool Applier::apply(const Msg& m, std::string* why) {
         ok = false;
         break;
       }
-      const kbstore::WalkedFrames walked = kbstore::walk_frames(m.payload, 0);
-      if (!walked.clean || walked.frames.empty()) {
-        set_why(why, "corrupt frames payload (torn or bit-flipped ship)");
+      const std::size_t appended = store_->follower_append(m.payload);
+      if (appended == 0) {
+        set_why(why, "follower append failed (empty, torn or bit-flipped "
+                     "ship, or a store write error)");
         ok = false;
         break;
       }
-      if (!store_->follower_append(m.payload, walked.frames.size())) {
-        set_why(why, "follower append failed");
-        ok = false;
-        break;
-      }
-      frames_applied_.add(walked.frames.size());
+      frames_applied_.add(appended);
       break;
     }
   }

@@ -1,10 +1,10 @@
 // repl::Applier — the follower side of WAL shipping: replays a leader's
 // wire messages into a read-only, follower-mode kbstore::Store. Every
-// shipped frame is CRC-verified and decoded *again* on this side before a
-// byte reaches the follower's log; frames and snapshot images land
-// verbatim, so a caught-up follower's files are byte-identical to the
-// leader's durable state — the zero-divergence invariant the fault suite
-// and bench gate on.
+// shipped frame is CRC-verified and decoded again on this side, once, by
+// the store's walk of the batch, before a byte reaches the follower's
+// log; frames and snapshot images land verbatim, so a caught-up
+// follower's files are byte-identical to the leader's durable state — the
+// zero-divergence invariant the fault suite and bench gate on.
 //
 // What the Applier refuses, and why:
 //   * a Frames batch for another generation or a non-contiguous sequence

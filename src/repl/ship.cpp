@@ -48,21 +48,16 @@ bool read_file_bytes(const std::string& path, std::string& out) {
 ShipSource::WalImage ShipSource::read_wal() const {
   WalImage img;
   if (!read_file_bytes(dir_ + "/wal.ilc", img.bytes)) return img;
-  if (img.bytes.size() < kbstore::kHeaderSize)
-    return img;  // mid-recreation (compaction window) or torn header
-  const kbstore::ScannedLog probe =
-      kbstore::scan_log(std::string_view(img.bytes).substr(
-                            0, kbstore::kHeaderSize),
-                        kbstore::kWalType);
-  if (!probe.header_ok) return img;
-  img.generation = probe.generation;
-  img.walked = kbstore::walk_frames(img.bytes, kbstore::kHeaderSize);
-  // A complete-but-corrupt frame inside the durable region is real
-  // corruption; the torn tail of an in-progress flush is just "not yet".
-  if (!img.walked.frames.empty() &&
-      (!img.walked.frames.back().crc_ok ||
-       !img.walked.frames.back().decodable))
-    img.walked.frames.pop_back();
+  const auto generation = kbstore::read_header(img.bytes, kbstore::kWalType);
+  if (!generation) return img;  // mid-recreation (compaction) or torn
+  img.generation = *generation;
+  // Only intact frames ship: a corrupt frame in the durable region is real
+  // corruption, the torn tail of an in-progress flush just "not yet".
+  kbstore::walk_frames(img.bytes, kbstore::kHeaderSize,
+                       [&](const kbstore::FrameBounds& fb,
+                           kbstore::LogRecord&&) {
+                         img.ends.push_back(fb.end());
+                       });
   img.ok = true;
   return img;
 }
@@ -70,14 +65,13 @@ ShipSource::WalImage ShipSource::read_wal() const {
 std::optional<kbstore::WalPosition> ShipSource::position() const {
   const WalImage img = read_wal();
   if (!img.ok) return std::nullopt;
-  kbstore::WalPosition pos;
-  pos.generation = img.generation;
-  pos.seq = img.walked.frames.size();
-  pos.chain_crc = support::crc32(
-      std::string_view(img.bytes)
-          .substr(kbstore::kHeaderSize,
-                  img.walked.good_bytes - kbstore::kHeaderSize));
-  return pos;
+  return kbstore::WalPosition{img.generation, img.ends.size(),
+                              img.chain_of(img.ends.size())};
+}
+
+std::uint32_t ShipSource::WalImage::chain_of(std::uint64_t frames) const {
+  return support::crc32(std::string_view(bytes).substr(
+      kbstore::kHeaderSize, end_of(frames) - kbstore::kHeaderSize));
 }
 
 bool ShipSource::handshake(const Msg& hello, std::string& out,
@@ -93,7 +87,7 @@ bool ShipSource::handshake(const Msg& hello, std::string& out,
 
   const WalImage img = read_wal();
   if (!img.ok) return fail("leader store unreadable: " + dir_);
-  const std::uint64_t leader_seq = img.walked.frames.size();
+  const std::uint64_t leader_seq = img.ends.size();
 
   if (hello.a > img.generation)
     return fail("split-brain: follower generation " + std::to_string(hello.a) +
@@ -106,12 +100,7 @@ bool ShipSource::handshake(const Msg& hello, std::string& out,
                   " at generation " + std::to_string(img.generation));
     // The follower's history must be a byte-prefix of ours: chain the CRC
     // over our first `hello.b` frames and compare.
-    const std::uint64_t prefix_end =
-        hello.b == 0 ? kbstore::kHeaderSize : img.walked.frames[hello.b - 1].end();
-    const std::uint32_t chain = support::crc32(
-        std::string_view(img.bytes)
-            .substr(kbstore::kHeaderSize, prefix_end - kbstore::kHeaderSize));
-    if (chain != hello.hello_chain())
+    if (img.chain_of(hello.b) != hello.hello_chain())
       return fail("split-brain: follower history diverges from leader at "
                   "generation " + std::to_string(hello.a) + ", frame " +
                   std::to_string(hello.b));
@@ -139,13 +128,19 @@ bool ShipSource::poll(std::string& out) {
         !read_file_bytes(dir_ + "/snapshot.ilc", snap))
       return false;
     if (!snap.empty()) {
-      const kbstore::ScannedLog scan =
-          kbstore::scan_log(snap, kbstore::kSnapshotType);
-      if (!scan.header_ok || !scan.clean) return false;  // corrupt leader
+      const auto snap_generation =
+          kbstore::read_header(snap, kbstore::kSnapshotType);
+      const bool clean =
+          snap_generation &&
+          kbstore::walk_frames(
+              snap, kbstore::kHeaderSize,
+              [](const kbstore::FrameBounds&, kbstore::LogRecord&&) {})
+              .clean();
+      if (!clean) return false;  // corrupt leader
       // Snapshot renamed but WAL not yet recreated: the on-disk pair is
       // (new snapshot, old WAL) and this WAL's generation will be <= the
       // snapshot's. Ship nothing yet; the recreated WAL arrives next poll.
-      if (scan.generation >= img.generation) return true;
+      if (*snap_generation >= img.generation) return true;
     }
     encode_msg(out, Msg::snapshot(img.generation, std::move(snap)));
     c_snapshots_shipped().add(1);
@@ -153,15 +148,15 @@ bool ShipSource::poll(std::string& out) {
     next_seq_ = 0;
   }
 
-  const std::uint64_t leader_seq = img.walked.frames.size();
+  const std::uint64_t leader_seq = img.ends.size();
   if (next_seq_ > leader_seq) {
     // The WAL shrank within a generation: impossible in a healthy store
     // (only compaction truncates, and that bumps the generation).
     return false;
   }
   if (next_seq_ < leader_seq) {
-    const std::uint64_t from = img.walked.frames[next_seq_].offset;
-    const std::uint64_t to = img.walked.frames[leader_seq - 1].end();
+    const std::uint64_t from = img.end_of(next_seq_);
+    const std::uint64_t to = img.end_of(leader_seq);
     encode_msg(out, Msg::frames(gen_, next_seq_,
                                 img.bytes.substr(from, to - from)));
     c_frames_shipped().add(leader_seq - next_seq_);

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "kbstore/log_format.hpp"
 #include "kbstore/store.hpp"
@@ -57,9 +58,15 @@ class ShipSource {
  private:
   struct WalImage {
     std::string bytes;
-    kbstore::WalkedFrames walked;
+    std::vector<std::uint64_t> ends;  // end offset of each intact frame
     std::uint64_t generation = 0;
     bool ok = false;  // readable with a sane header
+    /// Offset just past the first `frames` frames.
+    std::uint64_t end_of(std::uint64_t frames) const {
+      return frames == 0 ? kbstore::kHeaderSize : ends[frames - 1];
+    }
+    /// The chain CRC a WalPosition of `frames` frames carries.
+    std::uint32_t chain_of(std::uint64_t frames) const;
   };
   WalImage read_wal() const;
 

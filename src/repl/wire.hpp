@@ -6,10 +6,11 @@
 //   msg  := u32 body_len | u32 crc32(body) | body
 //   body := u8 type | u64 a | u64 b | payload
 //
-// (integers little-endian). The CRC covers the whole body, so a torn or
-// corrupted ship is detected at the message boundary; WAL frames inside a
-// Frames payload additionally carry their own per-frame CRCs, which the
-// follower re-verifies before a byte reaches its log.
+// A message is one KB log frame (kbstore/log_format.hpp) whose payload
+// is the body. The CRC covers the whole body, so a torn or corrupted ship
+// is detected at the message boundary; WAL frames inside a Frames payload
+// additionally carry their own per-frame CRCs, which the follower
+// re-verifies before a byte reaches its log.
 //
 //   Hello      follower -> leader   a=generation b=seq payload=u32 chain
 //              "I am at this durable position; resume me from here."
@@ -67,9 +68,9 @@ struct Msg {
 void encode_msg(std::string& out, const Msg& m);
 
 /// Incremental decoder: feed arbitrary byte chunks, pop complete
-/// messages. A CRC mismatch or insane length poisons the stream — the
-/// transport must drop the connection and re-handshake (the follower's
-/// durable position makes that cheap).
+/// messages. A CRC mismatch, an insane length or a malformed body poisons
+/// the stream — the transport must drop the connection and re-handshake
+/// (the follower's durable position makes that cheap).
 class MsgReader {
  public:
   void feed(std::string_view bytes) { buf_.append(bytes); }

@@ -60,9 +60,9 @@ class TuningService {
   struct Options {
     std::size_t workers = 2;
     /// Threads that score one genetic search's generations, its request
-    /// worker included. Random searches do not read it: they share the
-    /// service's evaluation pool (see eval_pool_). Search results are
-    /// deterministic at any value.
+    /// worker included; random searches share the evaluation pool
+    /// (eval_pool_). Results are deterministic at any value. Only the tuner
+    /// benchmark's layer probe sets it (to 1, 2 and 4), no server binary.
     unsigned search_workers = 1;
     /// Location of the persistent KB store (a kbstore directory, created
     /// on first use). A file here refuses to start: a CSV knowledge base

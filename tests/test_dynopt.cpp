@@ -1,12 +1,15 @@
 // Dynamic-optimization tests: phase detection, version switching under a
 // live simulator, auditing correctness (checksums preserved across
-// switches), and the core claim — the auditor tracks the per-phase best
-// version and beats the worst static choice.
+// switches, one decode per version change), and the core claim — the
+// auditor tracks the per-phase best version and beats the worst static
+// choice.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "dynopt/dynopt.hpp"
+#include "obs/metrics.hpp"
 #include "sim/interpreter.hpp"
 #include "support/assert.hpp"
 #include "workloads/workloads.hpp"
@@ -47,6 +50,36 @@ TEST(SwitchModule, KeepsMemoryAcrossVersions) {
   }
   // Codec state flowed across version switches: checksum must match.
   EXPECT_EQ(sum, w.kernel_checksum);
+}
+
+// A switch drops the simulator's decoding, so the auditor switches only
+// when the running version changes: one decode for the first engine call,
+// plus one per change (adpcm: 3 changes over 16 items; phased_mix: 13
+// over 64).
+TEST(AuditedRun, DecodesOncePerRunningVersionChange) {
+  const obs::Histogram decode_us =
+      obs::Registry::instance().histogram("sim.decode_us");
+  for (const auto& [name, changes] :
+       {std::pair<const char*, std::size_t>{"adpcm", 3},
+        std::pair<const char*, std::size_t>{"phased_mix", 13}}) {
+    SCOPED_TRACE(name);
+    const wl::Workload w = wl::make_workload(name);
+    dyn::DynamicOptimizer opt(dyn::default_versions(w.module),
+                              sim::amd_like());
+    const std::uint64_t before = decode_us.count();
+    const dyn::AuditReport rep =
+        opt.run_audited({w.kernel, w.kernel_setup, w.kernel_items});
+    const std::uint64_t decodes = decode_us.count() - before;
+
+    std::size_t seen = 0;
+    unsigned running = 0;  // the simulator starts on version 0
+    for (const unsigned v : rep.version_per_item) {
+      if (v != running) ++seen;
+      running = v;
+    }
+    EXPECT_EQ(seen, changes);
+    EXPECT_EQ(decodes, 1 + seen);
+  }
 }
 
 TEST(SwitchModule, RejectsLayoutChange) {

@@ -2,7 +2,8 @@
 // linear-scan reference (in memory, on disk, and reopened), the in-memory
 // form's promise to touch no file and no metric, crash recovery under
 // fault injection (torn WAL tails, bit-flipped payloads, corrupt
-// snapshots, stale WALs), group-commit acknowledgement semantics,
+// snapshots, stale WALs, and each of these across the chunks recovery
+// reads a log in), group-commit acknowledgement semantics,
 // compaction, CSV import/export, and concurrent writers/readers.
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "kbstore/record_codec.hpp"
 #include "kbstore/store.hpp"
 #include "obs/metrics.hpp"
+#include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 
 namespace {
@@ -133,25 +135,33 @@ TEST(KbStoreLog, ScanStopsAtFirstBadFrameAndCountsGoodBytes) {
   const std::size_t after_a = image.size();
   kbstore::append_frame(image, kbstore::encode_record(b));
 
-  const auto clean = kbstore::scan_log(image, kbstore::kWalType);
-  EXPECT_TRUE(clean.header_ok);
-  EXPECT_TRUE(clean.clean);
-  EXPECT_EQ(clean.generation, 7u);
-  ASSERT_EQ(clean.records.size(), 2u);
-  EXPECT_EQ(clean.records[1].rec.program, "b");
+  std::vector<LogRecord> records;
+  const auto collect = [&](const kbstore::FrameBounds&, LogRecord&& lr) {
+    records.push_back(std::move(lr));
+  };
+  EXPECT_EQ(kbstore::read_header(image, kbstore::kWalType), 7u);
+  const auto clean =
+      kbstore::walk_frames(image, kbstore::kHeaderSize, collect);
+  EXPECT_TRUE(clean.clean());
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(clean.count, 2u);
+  EXPECT_EQ(records[1].rec.program, "b");
 
-  // Flip one payload byte of the second frame: scan keeps frame one only.
+  // Flip one payload byte of the second frame: the walk keeps frame one
+  // only.
   std::string flipped = image;
   flipped[after_a + kbstore::kFrameOverhead + 3] ^= 0x01;
-  const auto scan = kbstore::scan_log(flipped, kbstore::kWalType);
-  EXPECT_TRUE(scan.header_ok);
-  EXPECT_FALSE(scan.clean);
+  records.clear();
+  EXPECT_EQ(kbstore::read_header(flipped, kbstore::kWalType), 7u);
+  const auto scan =
+      kbstore::walk_frames(flipped, kbstore::kHeaderSize, collect);
+  EXPECT_FALSE(scan.clean());
   EXPECT_EQ(scan.good_bytes, after_a);
-  ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0].rec.program, "a");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].rec.program, "a");
 
-  // Wrong file type: header rejected, nothing decoded.
-  EXPECT_FALSE(kbstore::scan_log(image, kbstore::kSnapshotType).header_ok);
+  // Wrong file type: header rejected.
+  EXPECT_FALSE(kbstore::read_header(image, kbstore::kSnapshotType));
 }
 
 // --- basic store semantics ----------------------------------------------
@@ -427,6 +437,161 @@ TEST(KbStore, StaleWalAfterCompactionCrashIsDiscarded) {
   EXPECT_EQ(info.snapshot_records, 6u);
   EXPECT_EQ(info.wal_records, 0u);
   EXPECT_EQ(store->size(), 6u);  // no double-apply
+}
+
+// --- recovery across read chunks -----------------------------------------
+// Recovery reads a log kLogChunk bytes at a time. These stores span
+// several chunks: configs of uneven lengths put frame boundaries at odd
+// offsets, so frames straddle the chunk boundaries, and one record is
+// larger than a chunk.
+
+constexpr std::size_t kChunkedRecords = 200;
+constexpr std::size_t kChunkedBig = 150;  // the record larger than a chunk
+
+/// Every field of each record, as bytes, for whole-record comparisons.
+std::vector<std::string> encoded(
+    const std::vector<kb::ExperimentRecord>& recs) {
+  std::vector<std::string> out;
+  for (const kb::ExperimentRecord& r : recs)
+    out.push_back(kbstore::encode_record({Op::Append, r}));
+  return out;
+}
+
+/// Writes the multi-chunk store and returns its WAL position.
+kbstore::WalPosition write_chunked_store(const std::string& dir) {
+  auto store = Store::open(dir, every_append());
+  EXPECT_NE(store, nullptr);
+  for (std::size_t i = 0; i < kChunkedRecords; ++i) {
+    kb::ExperimentRecord r = sample("p" + std::to_string(i % 7), 100 + i);
+    const std::size_t len =
+        i == kChunkedBig ? kbstore::kLogChunk + 4099 : 1000 + 7 * i;
+    r.config.assign(len, static_cast<char>('a' + i % 26));
+    store->append(std::move(r));
+  }
+  return store->wal_position();
+}
+
+/// The reference a reopen must match: one walk over the whole WAL image.
+struct WholeImage {
+  std::string bytes;
+  std::vector<kb::ExperimentRecord> records;
+  std::vector<kbstore::FrameBounds> frames;
+  kbstore::WalkedFrames walked;
+};
+
+WholeImage walk_whole(const std::string& wal_path) {
+  WholeImage img;
+  img.bytes = read_file(wal_path);
+  img.walked = kbstore::walk_frames(
+      img.bytes, kbstore::kHeaderSize,
+      [&](const kbstore::FrameBounds& fb, LogRecord&& lr) {
+        img.frames.push_back(fb);
+        img.records.push_back(std::move(lr.rec));
+      });
+  return img;
+}
+
+TEST(KbStoreRecovery, ReopenAcrossReadChunksMatchesAWalkOfTheWholeImage) {
+  TempStoreDir dir("kbstore_test_chunks");
+  const kbstore::WalPosition written = write_chunked_store(dir.path);
+  const WholeImage img = walk_whole(dir.wal());
+  ASSERT_TRUE(img.walked.clean());
+  ASSERT_EQ(img.records.size(), kChunkedRecords);
+  ASSERT_GT(img.bytes.size(), 4 * kbstore::kLogChunk);
+  EXPECT_GT(img.frames[kChunkedBig].size(), kbstore::kLogChunk);
+
+  kbstore::RecoveryInfo info;
+  auto store = Store::open(dir.path, every_append(), &info);
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(info.snapshot_records, 0u);
+  EXPECT_EQ(info.wal_records, img.walked.count);
+  EXPECT_FALSE(info.torn_tail);
+  EXPECT_EQ(info.torn_bytes, 0u);
+  EXPECT_FALSE(info.stale_wal);
+  EXPECT_EQ(encoded(store->records()), encoded(img.records));
+
+  const kbstore::WalPosition pos = store->wal_position();
+  EXPECT_EQ(pos.generation, written.generation);
+  EXPECT_EQ(pos.seq, img.walked.count);
+  EXPECT_EQ(pos.chain_crc, support::crc32(std::string_view(img.bytes).substr(
+                               kbstore::kHeaderSize)));
+  EXPECT_EQ(pos.chain_crc, written.chain_crc);
+  EXPECT_EQ(store->stats().wal_bytes, img.bytes.size());
+}
+
+// A cut inside, or a bit flip in, a frame that a read splits: the frame
+// across the first chunk boundary, and the frame larger than a chunk.
+// Recovery keeps exactly the frames before it and truncates there.
+TEST(KbStoreRecovery, DamageInAFrameAReadSplitsKeepsThePrefixBeforeIt) {
+  TempStoreDir dir("kbstore_test_chunk_damage");
+  write_chunked_store(dir.path);
+  const WholeImage img = walk_whole(dir.wal());
+  ASSERT_TRUE(img.walked.clean());
+
+  // The first read ends kLogChunk bytes past the header.
+  const std::uint64_t boundary = kbstore::kHeaderSize + kbstore::kLogChunk;
+  std::size_t straddler = 0;
+  while (img.frames[straddler].end() <= boundary) ++straddler;
+  ASSERT_LT(img.frames[straddler].offset, boundary);
+  ASSERT_LT(straddler, kChunkedBig);
+
+  for (const std::size_t k : {straddler, kChunkedBig}) {
+    const kbstore::FrameBounds fb = img.frames[k];
+    const std::uint64_t inside = k == straddler ? boundary + 7
+                                                : fb.offset + fb.size() / 2;
+    ASSERT_LT(inside, fb.end());
+    std::string cut = img.bytes.substr(0, inside);
+    std::string flipped = img.bytes;
+    flipped[inside] ^= 0x10;
+    for (const std::string* damaged : {&cut, &flipped}) {
+      SCOPED_TRACE("frame " + std::to_string(k) +
+                   (damaged == &cut ? ", cut" : ", bit flip"));
+      write_file(dir.wal(), *damaged);
+      kbstore::RecoveryInfo info;
+      auto store = Store::open(dir.path, every_append(), &info);
+      ASSERT_NE(store, nullptr);
+      EXPECT_EQ(info.wal_records, k);
+      EXPECT_TRUE(info.torn_tail);
+      EXPECT_EQ(info.torn_bytes, damaged->size() - fb.offset);
+      EXPECT_EQ(fs::file_size(dir.wal()), fb.offset);
+      const std::vector<kb::ExperimentRecord> prefix(
+          img.records.begin(),
+          img.records.begin() + static_cast<std::ptrdiff_t>(k));
+      EXPECT_EQ(encoded(store->records()), encoded(prefix));
+      const kbstore::WalPosition pos = store->wal_position();
+      EXPECT_EQ(pos.seq, k);
+      EXPECT_EQ(pos.chain_crc,
+                support::crc32(std::string_view(img.bytes).substr(
+                    kbstore::kHeaderSize, fb.offset - kbstore::kHeaderSize)));
+    }
+  }
+}
+
+TEST(KbStoreRecovery, StaleWalLargerThanAChunkIsDiscarded) {
+  TempStoreDir dir("kbstore_test_chunk_stale");
+  write_chunked_store(dir.path);
+  const WholeImage img = walk_whole(dir.wal());  // generation 1
+  ASSERT_GT(img.bytes.size(), kbstore::kLogChunk);
+  {
+    auto store = Store::open(dir.path, every_append());
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(store->compact());  // snapshot gen 1, fresh WAL gen 2
+  }
+  write_file(dir.wal(), img.bytes);  // the crash: truncation never happened
+
+  kbstore::RecoveryInfo info;
+  auto store = Store::open(dir.path, every_append(), &info);
+  ASSERT_NE(store, nullptr);
+  EXPECT_TRUE(info.stale_wal);
+  EXPECT_EQ(info.snapshot_records, kChunkedRecords);
+  EXPECT_EQ(info.wal_records, 0u);
+  EXPECT_FALSE(info.torn_tail);
+  // No double-apply.
+  EXPECT_EQ(encoded(store->records()), encoded(img.records));
+  const kbstore::WalPosition pos = store->wal_position();
+  EXPECT_EQ(pos.generation, 2u);
+  EXPECT_EQ(pos.seq, 0u);
+  EXPECT_EQ(fs::file_size(dir.wal()), kbstore::kHeaderSize);
 }
 
 // --- acknowledgement semantics ------------------------------------------
@@ -784,36 +949,52 @@ TEST(KbStoreLog, WalkFramesReportsBoundsHealthAndTornTail) {
   kbstore::append_frame(image, kbstore::encode_record(b));
   kbstore::append_frame(image, kbstore::encode_record(c));
 
-  const auto walked = kbstore::walk_frames(image, kbstore::kHeaderSize);
-  EXPECT_TRUE(walked.clean);
+  // The visitor sees every intact frame: checksum held and payload decoded.
+  std::vector<kbstore::FrameBounds> frames;
+  std::vector<Op> ops;
+  const auto collect = [&](const kbstore::FrameBounds& fb, LogRecord&& lr) {
+    frames.push_back(fb);
+    ops.push_back(lr.op);
+  };
+  const auto walked =
+      kbstore::walk_frames(image, kbstore::kHeaderSize, collect);
+  EXPECT_TRUE(walked.clean());
+  EXPECT_FALSE(walked.damaged);
   EXPECT_EQ(walked.good_bytes, image.size());
-  ASSERT_EQ(walked.frames.size(), 3u);
-  EXPECT_EQ(walked.frames[0].offset, kbstore::kHeaderSize);
-  for (std::size_t i = 1; i < walked.frames.size(); ++i)
-    EXPECT_EQ(walked.frames[i].offset, walked.frames[i - 1].end());
-  for (const auto& fb : walked.frames) {
-    EXPECT_TRUE(fb.crc_ok);
-    EXPECT_TRUE(fb.decodable);
-  }
-  EXPECT_EQ(walked.frames[1].op, Op::Upsert);
+  EXPECT_EQ(walked.count, 3u);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].offset, kbstore::kHeaderSize);
+  for (std::size_t i = 1; i < frames.size(); ++i)
+    EXPECT_EQ(frames[i].offset, frames[i - 1].end());
+  EXPECT_EQ(ops[1], Op::Upsert);
+  const std::vector<kbstore::FrameBounds> all = frames;
 
   // Torn tail: a partial final frame is not reported as a frame at all.
+  frames.clear();
   const auto torn = kbstore::walk_frames(
       std::string_view(image).substr(0, image.size() - 3),
-      kbstore::kHeaderSize);
-  EXPECT_FALSE(torn.clean);
-  ASSERT_EQ(torn.frames.size(), 2u);
-  EXPECT_EQ(torn.good_bytes, walked.frames[1].end());
+      kbstore::kHeaderSize, collect);
+  EXPECT_FALSE(torn.clean());
+  EXPECT_EQ(torn.stop, kbstore::FrameStatus::Short);
+  EXPECT_FALSE(torn.damaged);
+  EXPECT_EQ(torn.count, 2u);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(torn.good_bytes, all[1].end());
 
-  // Corrupt interior frame: included, flagged, and walking stops there.
+  // Corrupt interior frame: reported as the damaged frame, flagged, and
+  // walking stops there.
   std::string flipped = image;
-  flipped[walked.frames[1].offset + kbstore::kFrameOverhead] ^= 0x80;
-  const auto bad = kbstore::walk_frames(flipped, kbstore::kHeaderSize);
-  EXPECT_FALSE(bad.clean);
-  ASSERT_EQ(bad.frames.size(), 2u);
-  EXPECT_TRUE(bad.frames[0].crc_ok);
-  EXPECT_FALSE(bad.frames[1].crc_ok);
-  EXPECT_EQ(bad.good_bytes, walked.frames[0].end());
+  flipped[all[1].offset + kbstore::kFrameOverhead] ^= 0x80;
+  frames.clear();
+  const auto bad =
+      kbstore::walk_frames(flipped, kbstore::kHeaderSize, collect);
+  EXPECT_FALSE(bad.clean());
+  ASSERT_EQ(frames.size(), 1u);  // frame 0 passed its checksum
+  EXPECT_EQ(bad.stop, kbstore::FrameStatus::BadCrc);
+  ASSERT_TRUE(bad.damaged);
+  EXPECT_EQ(bad.damaged->offset, all[1].offset);
+  EXPECT_EQ(bad.damaged->end(), all[1].end());
+  EXPECT_EQ(bad.good_bytes, all[0].end());
 }
 
 TEST(KbStore, WalPositionTracksDurableFramesAcrossReopenAndCompaction) {
